@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -135,8 +136,12 @@ class RunSpec:
             raise ConfigurationError(
                 "RunSpec needs exactly one of size_billions / num_layers"
             )
-        if self.size_billions is not None and self.size_billions <= 0:
-            raise ConfigurationError("size_billions must be positive")
+        if self.size_billions is not None and not (
+                0 < self.size_billions < math.inf):
+            raise ConfigurationError(
+                f"size_billions must be a finite positive number, "
+                f"got {self.size_billions!r}"
+            )
         if self.num_layers is not None and self.num_layers < 1:
             raise ConfigurationError("num_layers must be >= 1")
         if self.nodes < 1:

@@ -181,9 +181,9 @@ class BandwidthLedger:
             raise ConfigurationError("cannot record a negative byte count")
         if num_bytes == 0:
             return
-        self._records.append(
-            TransferRecord(start, end, num_bytes, degraded=degraded)
-        )
+        # Positional: keyword arguments make the slotted constructor
+        # markedly slower, and this runs once per link per settled flow.
+        self._records.append(TransferRecord(start, end, num_bytes, degraded))
 
     def replicate_shifted(self, template: List[TransferRecord],
                           period: Seconds, count: int) -> None:
@@ -402,7 +402,18 @@ class Link:
     links (e.g. the four NVLink lanes between one GPU pair, or the three
     xGMI links between sockets) into a single simulated channel with summed
     bandwidth, which is how NCCL and the Infinity Fabric stripe traffic.
+
+    Capacity changes only through :meth:`set_capacity_fraction` and
+    :meth:`reset_capacity`.  Both bump the process-wide
+    :attr:`capacity_epoch`, so anything derived from link capacities
+    (a flow's rate ceiling and pool weight) can be cached and recomputed
+    only when the epoch has moved.
     """
+
+    #: Bumped on every capacity change of any link.  Process-wide, so a
+    #: cache keyed on it can never serve a value from before a change,
+    #: whichever cluster the change happened in.
+    capacity_epoch = 0
 
     def __init__(
         self,
@@ -423,6 +434,11 @@ class Link:
         self.ledger = BandwidthLedger()
         #: current usable fraction of the rated capacity (faults lower it)
         self._capacity_fraction = 1.0
+        #: aggregate attainable bytes/s in each direction, right now;
+        #: always ``base_capacity_per_direction * capacity_fraction``
+        self.capacity_per_direction: BytesPerSecond = (
+            self.base_capacity_per_direction * self._capacity_fraction
+        )
         #: piecewise-constant history of (time, fraction) change points,
         #: so post-run validation can reconstruct the capacity in effect
         #: at any instant of the simulation.
@@ -437,11 +453,6 @@ class Link:
     def base_capacity_per_direction(self) -> BytesPerSecond:
         """Rated aggregate attainable bytes/s per direction (fault-free)."""
         return self.spec.attainable_per_direction * self.count
-
-    @property
-    def capacity_per_direction(self) -> BytesPerSecond:
-        """Aggregate attainable bytes/s in each direction, right now."""
-        return self.base_capacity_per_direction * self._capacity_fraction
 
     @property
     def capacity_fraction(self) -> float:
@@ -474,7 +485,7 @@ class Link:
                 f"capacity change at t={at_time} precedes the last change "
                 f"at t={last_time}"
             )
-        self._capacity_fraction = fraction
+        self._apply_fraction(fraction)
         if at_time > last_time:
             if fraction != last_fraction:
                 self._capacity_history.append((at_time, fraction))
@@ -485,8 +496,15 @@ class Link:
 
     def reset_capacity(self) -> None:
         """Restore rated capacity and forget the degradation history."""
-        self._capacity_fraction = 1.0
+        self._apply_fraction(1.0)
         self._capacity_history = [(0.0, 1.0)]
+
+    def _apply_fraction(self, fraction: float) -> None:
+        self._capacity_fraction = fraction
+        self.capacity_per_direction = (
+            self.base_capacity_per_direction * fraction
+        )
+        Link.capacity_epoch += 1
 
     def capacity_fraction_at(self, instant: Seconds) -> float:
         """The capacity fraction in effect at ``instant``."""

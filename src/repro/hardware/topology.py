@@ -27,15 +27,43 @@ from .link import BandwidthLedger, Link, LinkClass
 from .serdes import SerdesContentionModel, TrafficProfile
 
 
+#: Capacity pool of one link direction; half-duplex links share pool 0.
+PoolKey = Tuple[Link, int]
+
+
 class Route:
-    """An ordered path of links between two devices."""
+    """An ordered path of links between two devices.
+
+    Everything about a route that does not depend on link capacity — its
+    per-direction pool keys and its SerDes contention factors — is
+    computed once here; only the bottleneck capacity is read per call.
+    """
 
     def __init__(self, source: str, destination: str, links: Sequence[Link],
                  contention: SerdesContentionModel) -> None:
         self.source = source
         self.destination = destination
         self.links: Tuple[Link, ...] = tuple(links)
-        self._contention = contention
+        self._derate = {profile: contention.derate(self.links, profile)
+                        for profile in TrafficProfile}
+        self._latency_factor = contention.latency_factor(self.links)
+        self.pool_keys: Tuple[PoolKey, ...] = self._direction_pools()
+
+    def _direction_pools(self) -> Tuple[PoolKey, ...]:
+        """Per-direction pool keys for every link along the route."""
+        keys: List[PoolKey] = []
+        cursor = self.source
+        for link in self.links:
+            if link.endpoint_a == cursor:
+                direction = 0
+                cursor = link.endpoint_b
+            else:
+                direction = 1
+                cursor = link.endpoint_a
+            if not link.spec.duplex:
+                direction = 0
+            keys.append((link, direction))
+        return tuple(keys)
 
     def __len__(self) -> int:
         return len(self.links)
@@ -61,7 +89,7 @@ class Route:
 
     def latency(self) -> Seconds:
         """End-to-end small-message latency including SerDes queueing."""
-        return self.base_latency * self._contention.latency_factor(self.links)
+        return self.base_latency * self._latency_factor
 
     def bandwidth(self, profile: TrafficProfile = TrafficProfile.SUSTAINED
                   ) -> BytesPerSecond:
@@ -69,7 +97,7 @@ class Route:
         if self.is_loopback:
             return float("inf")
         bottleneck = min(link.capacity_per_direction for link in self.links)
-        return bottleneck * self._contention.derate(self.links, profile)
+        return bottleneck * self._derate[profile]
 
     def transfer_time(self, num_bytes: Bytes,
                       profile: TrafficProfile = TrafficProfile.SUSTAINED

@@ -26,12 +26,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..errors import SimulationError
 from ..units import Bytes, BytesPerSecond
 from ..hardware.link import Link
-from ..hardware.topology import Route
+from ..hardware.topology import PoolKey, Route
 from ..hardware.serdes import TrafficProfile
 from .engine import BaseEvent, BatchHandler, Engine, SimEvent
-
-#: Pools are per link and per direction; half-duplex links share pool 0.
-PoolKey = Tuple[Link, int]
 
 
 class Flow:
@@ -57,6 +54,9 @@ class Flow:
         self.rate = 0.0
         self.completion: Optional[SimEvent] = None
         self.started_at: Optional[float] = None
+        #: :attr:`Link.capacity_epoch` that ``weight``/``cap`` were
+        #: derived at; -1 forces the first derivation
+        self._epoch = -1
         self.refresh_capacity()
 
     #: residues below this are floating-point dust, not real payload
@@ -69,8 +69,12 @@ class Flow:
     def refresh_capacity(self) -> None:
         """Recompute ``weight`` and ``cap`` from the route's current state.
 
-        Link capacities are time-varying under fault injection, so both
-        values are refreshed on every rate allocation:
+        Link capacities are time-varying under fault injection, so the
+        allocator calls this on every rate allocation.  Both values
+        depend only on link capacities, which change only through
+        :meth:`Link.set_capacity_fraction`/:meth:`Link.reset_capacity`;
+        those bump :attr:`Link.capacity_epoch`, so the call returns at
+        once while the epoch is the one the values were derived at:
 
         * ``weight`` — extra pool capacity consumed per delivered byte
           (>= 1).  ``weight_multiplier`` models protocol inefficiency
@@ -82,6 +86,10 @@ class Flow:
           NVMe media bandwidth).  A fully-down link on the route pins the
           cap to zero; the flow stalls until the link is restored.
         """
+        epoch = Link.capacity_epoch
+        if self._epoch == epoch:
+            return
+        self._epoch = epoch
         if not self.route.links:
             self.weight = 1.0
             self.cap = (
@@ -108,6 +116,8 @@ class FlowNetwork:
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         self._active: Set[Flow] = set()
+        #: ``_active`` sorted by id; None after an add until re-sorted
+        self._ordered: Optional[List[Flow]] = []
         self._generation = 0
         self._last_update = engine.now
         self.completed_flows = 0
@@ -183,9 +193,14 @@ class FlowNetwork:
         ``_active`` is a set of objects whose iteration order follows
         memory addresses; every float accumulation over the flows must
         instead use this deterministic order, or repeated runs of the
-        same configuration drift in the last ulp.
+        same configuration drift in the last ulp.  The sorted list is
+        cached until the next add; callers must not mutate it.
         """
-        return sorted(self._active, key=lambda flow: flow.id)
+        ordered = self._ordered
+        if ordered is None:
+            ordered = sorted(self._active, key=lambda flow: flow.id)
+            self._ordered = ordered
+        return ordered
 
     # -- internals -----------------------------------------------------------------
     def _activate_one(self, flow: Flow) -> None:
@@ -197,6 +212,7 @@ class FlowNetwork:
         self.engine.note_touch("flows:allocator")
         self._settle()
         self._active.add(flow)
+        self._ordered = None
         self._reallocate()
 
     def _activate_batch(self, batch: List[Tuple[Flow]]) -> None:
@@ -219,6 +235,7 @@ class FlowNetwork:
             if self.leaksan is not None:
                 self.leaksan.flow_opened(flow)
             self._active.add(flow)
+        self._ordered = None
         self._reallocate()
 
     def _settle(self) -> None:
@@ -226,11 +243,14 @@ class FlowNetwork:
         now = self.engine.now
         elapsed = now - self._last_update
         if elapsed > 0:
+            start = now - elapsed
+            engine = self.engine
             for flow in self._ordered_active():
                 moved = min(flow.rate * elapsed, flow.bytes_remaining)
                 if moved > 0:
-                    for link in flow.route.links:
-                        self.engine.note_touch(f"ledger:{link.name}")
+                    if engine.sanitizer is not None:
+                        for link in flow.route.links:
+                            engine.note_touch(f"ledger:{link.name}")
                     # Absorb floating-point dust: crediting rate x elapsed
                     # can undershoot the true remainder by ~1 ulp, which
                     # would otherwise strand a nanobyte whose completion
@@ -239,14 +259,17 @@ class FlowNetwork:
                         moved = flow.bytes_remaining
                     flow.bytes_remaining -= moved
                     self.total_bytes_moved += moved
-                    flow.route.record(now - elapsed, now, moved)
+                    flow.route.record(start, now, moved)
         self._last_update = now
 
     def _reallocate(self) -> None:
         """Weighted max-min fair rates, then schedule the next completion."""
         self.engine.note_touch("flows:allocator")
         self._generation += 1
-        finished = [flow for flow in self._ordered_active() if flow.done]
+        ordered = self._ordered_active()
+        finished = [flow for flow in ordered if flow.done]
+        if finished:
+            self._ordered = [flow for flow in ordered if not flow.done]
         for flow in finished:
             self._active.discard(flow)
             self.completed_flows += 1
@@ -267,44 +290,53 @@ class FlowNetwork:
         pool_members: Dict[PoolKey, List[Flow]] = {}
         for flow in ordered:
             # Link capacities may have changed since the last allocation
-            # (fault injection); re-derive the flow's ceiling and weight.
+            # (fault injection); re-derive the flow's ceiling and weight
+            # if so.
             flow.refresh_capacity()
-            for key in self._pool_keys(flow.route):
-                if key not in pools:
-                    link = key[0]
-                    pools[key] = link.capacity_per_direction
-                pool_members.setdefault(key, []).append(flow)
-        rates = {flow: 0.0 for flow in ordered}
+            flow.rate = 0.0
+            for key in flow.route.pool_keys:
+                members = pool_members.get(key)
+                if members is None:
+                    pools[key] = key[0].capacity_per_direction
+                    pool_members[key] = [flow]
+                else:
+                    members.append(flow)
         unfrozen = set(ordered)
         guard = len(self._active) + len(pools) + 4
+        # Pools that may still have unfrozen members; once a pool's
+        # members are all frozen it stays out of every later round.
+        live = list(pools)
         while unfrozen and guard > 0:
             guard -= 1
             delta = min(
-                (flow.cap - rates[flow] for flow in unfrozen),
+                (flow.cap - flow.rate for flow in unfrozen),
                 default=float("inf"),
             )
             limiting_pools: List[PoolKey] = []
-            for key, remaining in pools.items():
-                members = [f for f in pool_members[key] if f in unfrozen]
-                if not members:
+            weight_sums: List[Tuple[PoolKey, float]] = []
+            for key in live:
+                weights = [f.weight for f in pool_members[key]
+                           if f in unfrozen]
+                if not weights:
                     continue
-                weight_sum = sum(f.weight for f in members)
-                share = remaining / weight_sum
+                weight_sum = sum(weights)
+                weight_sums.append((key, weight_sum))
+                share = pools[key] / weight_sum
                 if share < delta - 1e-15:
                     delta = share
                     limiting_pools = [key]
                 elif abs(share - delta) <= 1e-15:
                     limiting_pools.append(key)
+            live = [key for key, _ in weight_sums]
             if delta == float("inf"):
                 break
             delta = max(delta, 0.0)
             for flow in unfrozen:
-                rates[flow] += delta
-            for key in pools:
-                members = [f for f in pool_members[key] if f in unfrozen]
-                pools[key] -= delta * sum(f.weight for f in members)
+                flow.rate += delta
+            for key, weight_sum in weight_sums:
+                pools[key] -= delta * weight_sum
             newly_frozen = {
-                flow for flow in unfrozen if rates[flow] >= flow.cap - 1e-9
+                flow for flow in unfrozen if flow.rate >= flow.cap - 1e-9
             }
             for key in limiting_pools:
                 newly_frozen.update(
@@ -313,12 +345,10 @@ class FlowNetwork:
             if not newly_frozen:
                 break
             unfrozen -= newly_frozen
-        for flow, rate in rates.items():
-            flow.rate = rate
 
     def _schedule_next_completion(self) -> None:
         soonest = float("inf")
-        for flow in self._active:
+        for flow in self._ordered_active():
             if flow.rate > 0:
                 soonest = min(soonest, flow.bytes_remaining / flow.rate)
         if soonest == float("inf"):
@@ -344,20 +374,3 @@ class FlowNetwork:
             return  # superseded by a newer allocation epoch
         self._settle()
         self._reallocate()
-
-    @staticmethod
-    def _pool_keys(route: Route) -> List[PoolKey]:
-        """Per-direction pool keys for every link along the route."""
-        keys: List[PoolKey] = []
-        cursor = route.source
-        for link in route.links:
-            if link.endpoint_a == cursor:
-                direction = 0
-                cursor = link.endpoint_b
-            else:
-                direction = 1
-                cursor = link.endpoint_a
-            if not link.spec.duplex:
-                direction = 0
-            keys.append((link, direction))
-        return keys

@@ -22,6 +22,12 @@ class TestRunSpecValidation:
         with pytest.raises(ConfigurationError):
             RunSpec(strategy="ddp", size_billions=1.4, num_layers=24)
 
+    @pytest.mark.parametrize("size", [0.0, -1.4, float("nan"),
+                                      float("inf"), float("-inf")])
+    def test_rejects_non_finite_or_non_positive_size(self, size):
+        with pytest.raises(ConfigurationError, match="size_billions"):
+            RunSpec(strategy="ddp", size_billions=size)
+
     def test_rejects_bad_tie_order(self):
         with pytest.raises(ConfigurationError):
             RunSpec(strategy="ddp", size_billions=1.4, tie_order="random")

@@ -1,6 +1,10 @@
 """Link specs and the bandwidth ledger."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hardware.link import (
@@ -158,3 +162,39 @@ class TestBandwidthLedger:
         ledger.record(10.0, 11.0, 1e9)
         samples = ledger.sample(0.0, 1.0, 5)
         assert all(s == 0.0 for s in samples)
+
+
+CAPACITY_CHANGES = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"),
+                  st.floats(min_value=0.0, max_value=1.0,
+                            allow_nan=False)),
+        st.tuples(st.just("reset"), st.just(1.0)),
+    ),
+    max_size=12,
+)
+
+
+class TestCapacityEpoch:
+    @settings(max_examples=60, deadline=None)
+    @given(changes=CAPACITY_CHANGES,
+           count=st.integers(min_value=1, max_value=4),
+           efficiency=st.floats(min_value=0.05, max_value=1.0))
+    def test_capacity_matches_fraction_bitwise(self, changes, count,
+                                               efficiency):
+        link = Link("l", make_spec(efficiency=efficiency), "a", "b",
+                    count=count)
+        now = 0.0
+        for verb, fraction in changes:
+            epoch = Link.capacity_epoch
+            if verb == "set":
+                now += 1e-3
+                link.set_capacity_fraction(fraction, at_time=now)
+            else:
+                link.reset_capacity()
+                now = 0.0
+            assert Link.capacity_epoch > epoch
+            expected = (link.base_capacity_per_direction
+                        * link.capacity_fraction)
+            assert (struct.pack("<d", link.capacity_per_direction)
+                    == struct.pack("<d", expected))

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.api import RunSpec
+from repro.api import build as api_build
 from repro.hardware import single_node_cluster
+from repro.hardware.link import Link
+from repro.hardware.serdes import TrafficProfile
 from repro.sim.engine import Engine
 from repro.sim.flows import FlowNetwork
 
@@ -177,3 +181,180 @@ class TestNumericalRobustness:
         engine.process(proc())
         engine.run(max_events=200_000)
         assert network.completed_flows == 200
+
+
+class FlowCatcher:
+    """Minimal trace recorder that keeps every flow the network starts."""
+
+    def __init__(self):
+        self.flows = []
+
+    def flow_started(self, flow):
+        self.flows.append(flow)
+
+    def flow_finished(self, flow, now):
+        pass
+
+
+def link_named(cluster, name):
+    return next(link for link in cluster.topology.links if link.name == name)
+
+
+class TestCapacityEpoch:
+    """A flow's ``cap``/``weight`` are cached behind ``Link.capacity_epoch``;
+    every way a link's capacity can change must invalidate them."""
+
+    # gpu0 -> nic1 crosses xGMI: two contended SerDes joints, so the
+    # pool weight is above 1 while the route is up.
+    ROUTE = ("node0/gpu0", "node0/nic1")
+
+    def live_flow(self, cluster):
+        engine = Engine()
+        network = FlowNetwork(engine)
+        catcher = FlowCatcher()
+        network.recorder = catcher
+        route = cluster.topology.route(*self.ROUTE)
+        network.transfer(route, 1e12)  # far longer than the test window
+        engine.run(until=1e-3)
+        (flow,) = catcher.flows
+        return engine, network, route, flow
+
+    @staticmethod
+    def expected(route, flow):
+        derated = route.bandwidth(flow.profile)
+        bottleneck = min(link.capacity_per_direction for link in route.links)
+        return derated, bottleneck / derated
+
+    def test_follows_set_capacity_fraction_and_rebalance(self, cluster):
+        engine, network, route, flow = self.live_flow(cluster)
+        healthy_cap, healthy_weight = flow.cap, flow.weight
+        assert healthy_weight > 1.0
+        xgmi = link_named(cluster, "node0/xgmi")
+        network.settle()
+        xgmi.set_capacity_fraction(0.25, at_time=engine.now)
+        network.rebalance()
+        cap, weight = self.expected(route, flow)
+        assert (flow.cap, flow.weight) == (cap, weight)
+        assert flow.cap < healthy_cap
+        assert flow.rate == flow.cap
+        # A hard outage pins the ceiling to zero and the weight to the
+        # multiplier.
+        network.settle()
+        xgmi.set_capacity_fraction(0.0, at_time=engine.now)
+        network.rebalance()
+        assert (flow.cap, flow.weight, flow.rate) == (0.0, 1.0, 0.0)
+        network.settle()
+        xgmi.set_capacity_fraction(1.0, at_time=engine.now)
+        network.rebalance()
+        assert (flow.cap, flow.weight) == (healthy_cap, healthy_weight)
+
+    def test_follows_reset_capacity(self, cluster):
+        engine, network, route, flow = self.live_flow(cluster)
+        healthy = (flow.cap, flow.weight)
+        network.settle()
+        link_named(cluster, "node0/pcie-nic1").set_capacity_fraction(
+            0.0, at_time=engine.now)
+        network.rebalance()
+        assert flow.cap == 0.0
+        # The cluster-wide reset path (every link's reset_capacity).
+        cluster.reset()
+        network.rebalance()
+        assert (flow.cap, flow.weight) == healthy
+        assert flow.rate == flow.cap
+
+    def test_clusters_never_share_stale_values(self):
+        first, second = single_node_cluster(), single_node_cluster()
+        _, net_a, route_a, flow_a = self.live_flow(first)
+        _, net_b, route_b, flow_b = self.live_flow(second)
+        healthy = (flow_b.cap, flow_b.weight)
+        assert (flow_a.cap, flow_a.weight) == healthy
+
+        link_named(first, "node0/xgmi").set_capacity_fraction(0.25)
+        net_a.rebalance()
+        net_b.rebalance()
+        assert flow_a.cap < healthy[0]
+        assert (flow_b.cap, flow_b.weight) == healthy
+
+        link_named(second, "node0/pcie-gpu0").set_capacity_fraction(0.5)
+        net_b.rebalance()
+        net_a.rebalance()
+        assert (flow_a.cap, flow_a.weight) == self.expected(route_a, flow_a)
+        assert (flow_b.cap, flow_b.weight) == self.expected(route_b, flow_b)
+        assert flow_a.cap != flow_b.cap
+
+        first.reset()
+        net_a.rebalance()
+        net_b.rebalance()
+        assert (flow_a.cap, flow_a.weight) == healthy
+        assert (flow_b.cap, flow_b.weight) == self.expected(route_b, flow_b)
+        assert flow_b.cap < healthy[0]
+
+    def test_refresh_is_free_until_a_capacity_changes(self, cluster):
+        _, network, route, flow = self.live_flow(cluster)
+        calls = []
+        bandwidth = route.bandwidth
+
+        def counting(profile=TrafficProfile.SUSTAINED):
+            calls.append(profile)
+            return bandwidth(profile)
+
+        route.bandwidth = counting
+        network.rebalance()
+        network.rebalance()
+        assert calls == []
+        link_named(cluster, "node0/xgmi").set_capacity_fraction(0.5)
+        network.rebalance()
+        network.rebalance()
+        assert calls == [flow.profile]
+
+
+class TestCachedVersusUncached:
+    """Differential oracle: forcing the capacity cache to miss on every
+    allocation must not move a single simulated bit."""
+
+    SPECS = {
+        "dual_node": RunSpec("megatron", size_billions=1.4, nodes=2,
+                             iterations=2, warmup_iterations=1),
+        "fault_plan": RunSpec(
+            "zero3", size_billions=1.4, nodes=2, iterations=2,
+            warmup_iterations=1,
+            faults=("node0/xgmi:degrade@t=2ms,dur=3ms,mag=0.5",
+                    "node0/nic0:down@t=4ms,dur=2ms"),
+        ),
+    }
+
+    @staticmethod
+    def outputs(spec):
+        cluster = api_build.build_cluster(spec)
+        metrics = api_build.run_spec(spec, cluster=cluster)
+        execution = metrics.execution
+        return {
+            "iteration_times": list(execution.iteration_times),
+            "tflops": metrics.tflops,
+            "events_processed": execution.events_processed,
+            "ledger_bytes": {link.name: link.ledger.total_bytes
+                             for link in cluster.topology.links},
+            "ledger_records": {link.name: len(link.ledger)
+                               for link in cluster.topology.links},
+        }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_bit_identical(self, name, monkeypatch):
+        spec = self.SPECS[name]
+        cached = self.outputs(spec)
+
+        compute_rates = FlowNetwork._compute_rates
+
+        def always_miss(network):
+            Link.capacity_epoch += 1
+            compute_rates(network)
+
+        monkeypatch.setattr(FlowNetwork, "_compute_rates", always_miss)
+        uncached = self.outputs(spec)
+        assert cached == uncached
+
+    def test_fault_plan_changes_the_run(self):
+        healthy = self.outputs(self.SPECS["fault_plan"].replace(faults=()))
+        faulted = self.outputs(self.SPECS["fault_plan"])
+        assert healthy["iteration_times"] != faulted["iteration_times"]
+        assert healthy["events_processed"] != faulted["events_processed"]
