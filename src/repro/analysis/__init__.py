@@ -11,7 +11,6 @@ here — it needs the training runner).
 """
 
 from .api import (
-    DEFAULT_SOURCE_ROOT,
     analyze_dimensions,
     analyze_lifecycle,
     analyze_run_config,
@@ -28,6 +27,7 @@ from .context import AnalysisContext
 from .determinism import sanitizer_findings
 from .findings import Finding, Report, Severity
 from .liveness import check_liveness, diagnose
+from .program import DEFAULT_SOURCE_ROOT
 from .registry import (
     AnalysisPass,
     claim_codes,

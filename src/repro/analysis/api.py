@@ -40,7 +40,6 @@ from .determinism import det_lints as _det_lints  # noqa: F401  (registers passe
 from . import cluster_lints as _cluster_lints  # noqa: F401  (registers passes)
 from .dimensions import passes as _dim_passes  # noqa: F401  (registers passes)
 from .lifecycle import passes as _lifecycle_passes  # noqa: F401  (registers passes)
-from .source_lints import DEFAULT_SOURCE_ROOT
 
 #: The CFG000 probe-error wrapper below is a reporter of its own.
 claim_codes("run-passes", ("CFG000",))
@@ -102,9 +101,7 @@ def analyze_source(root: Union[str, Path, None] = None) -> Report:
     Covers unit hygiene (``SRC00x``) and the determinism hazard lints
     (``DET0xx``); no cluster is involved.
     """
-    tree_root = Path(root) if root is not None else DEFAULT_SOURCE_ROOT
-    ctx = AnalysisContext(source_root=tree_root)
-    return run_passes(ctx, ("source",))
+    return _analyze_tree(root, "source")
 
 
 def analyze_dimensions(root: Union[str, Path, None] = None) -> Report:
@@ -114,9 +111,7 @@ def analyze_dimensions(root: Union[str, Path, None] = None) -> Report:
     and the unit-vocabulary lints (``DIM010``/``DIM011``); no cluster is
     involved.
     """
-    tree_root = Path(root) if root is not None else DEFAULT_SOURCE_ROOT
-    ctx = AnalysisContext(source_root=tree_root)
-    return run_passes(ctx, ("dims",))
+    return _analyze_tree(root, "dims")
 
 
 def analyze_lifecycle(root: Union[str, Path, None] = None) -> Report:
@@ -127,6 +122,10 @@ def analyze_lifecycle(root: Union[str, Path, None] = None) -> Report:
     runtime complement (``RES007``-``RES009``) comes from
     :class:`repro.sim.leaksan.LeakSanitizer` under ``leak_check=True``.
     """
-    tree_root = Path(root) if root is not None else DEFAULT_SOURCE_ROOT
-    ctx = AnalysisContext(source_root=tree_root)
-    return run_passes(ctx, ("lifecycle",))
+    return _analyze_tree(root, "lifecycle")
+
+
+def _analyze_tree(root: Union[str, Path, None], family: str) -> Report:
+    ctx = AnalysisContext(source_root=Path(root) if root is not None
+                          else None)
+    return run_passes(ctx, (family,))

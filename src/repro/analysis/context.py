@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -11,6 +12,7 @@ from ..hardware.cluster import Cluster
 from ..model.config import ModelConfig, TrainingConfig
 from ..parallel.placement import PlacementConfig
 from ..parallel.strategy import StrategyContext, TrainingStrategy
+from .program import DEFAULT_SOURCE_ROOT, SourceTree
 
 
 @dataclass
@@ -26,8 +28,9 @@ class AnalysisContext:
     never derive themselves, e.g. TP=3 on 8 GPUs.  ``fault_plan`` is the
     fault-injection schedule, when the run has one; the ``faults``
     family of passes vets it against the cluster.  ``source_root`` is
-    the tree the ``source`` family scans (defaults to the installed
-    ``repro`` package).
+    the tree the source-reading families (``source``, ``dims``,
+    ``lifecycle``) scan; it defaults to the installed ``repro`` package,
+    and :attr:`sources` parses it once for all of them.
     """
 
     cluster: Optional[Cluster] = None
@@ -43,6 +46,14 @@ class AnalysisContext:
     def __post_init__(self) -> None:
         if self.training is None:
             self.training = TrainingConfig()
+        if self.source_root is None:
+            self.source_root = DEFAULT_SOURCE_ROOT
+
+    @cached_property
+    def sources(self) -> SourceTree:
+        """The tree under :attr:`source_root`, parsed on first use."""
+        assert self.source_root is not None
+        return SourceTree(self.source_root)
 
     def require_cluster(self) -> Cluster:
         if self.cluster is None:

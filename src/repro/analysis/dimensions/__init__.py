@@ -40,7 +40,7 @@ from .lattice import (
     UNKNOWN,
     Dim,
 )
-from .engine import DimensionAnalyzer, analyze_tree
+from .engine import DimensionProgram, analyze_tree, build_program
 from .stubs import (
     ANNOTATION_DIMS,
     COUNTER_UNITS,
@@ -58,7 +58,7 @@ __all__ = [
     "COUNTER_UNITS",
     "DIMENSIONLESS",
     "Dim",
-    "DimensionAnalyzer",
+    "DimensionProgram",
     "FLOPS",
     "FLOPS_PER_S",
     "SINK_CONTRACTS",
@@ -68,4 +68,5 @@ __all__ = [
     "UNKNOWN",
     "analyze_tree",
     "annotation_dim",
+    "build_program",
 ]

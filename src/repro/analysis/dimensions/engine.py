@@ -1,9 +1,11 @@
 """The dimensional abstract interpreter.
 
-:func:`analyze_tree` drives three phases over every module in scope:
+:class:`DimensionProgram` parameterizes the shared skeleton
+(:class:`repro.analysis.program.Program`) with dimension summaries; its
+three phases run over every module in scope:
 
-1. **Collection** — parse each file once and harvest every function and
-   class: parameter/return dimensions from unit annotations
+1. **Collection** — harvest every function and class of the parsed
+   modules: parameter/return dimensions from unit annotations
    (``Bytes``/``Seconds``/... — see :mod:`~repro.analysis.dimensions.
    stubs`), annotated dataclass fields, properties, and each module's
    import map for :mod:`repro.units` names.
@@ -32,9 +34,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
+from .. import program as shared
 from ..findings import Finding, Severity
+from ..program import Source, SourceTree, decorator_names, dotted
 from .lattice import DIMENSIONLESS, TIME, UNKNOWN, Dim
 from .stubs import (
     ANNOTATION_DIMS,
@@ -59,24 +63,27 @@ _PASS_THROUGH_BUILTINS = frozenset({"abs", "float", "round", "int"})
 #: folds whose result carries the dimension of the folded elements
 _FOLD_BUILTINS = frozenset({"sum", "min", "max", "sorted"})
 
-#: fixpoint iteration cap; summaries stabilize in 2-3 rounds in practice
-_MAX_ROUNDS = 5
-
 
 @dataclass
-class FunctionInfo:
+class FunctionInfo(shared.FunctionInfo):
     """Interprocedural summary of one function definition."""
 
-    name: str
-    qualname: str
-    module: str
-    node: ast.FunctionDef
-    is_method: bool
-    is_property: bool
-    param_names: List[str]
-    param_dims: Dict[str, Dim]
-    declared_return: Optional[Dim]
+    param_dims: Dict[str, Dim] = field(init=False)
+    declared_return: Optional[Dim] = field(init=False)
+    is_property: bool = field(init=False)
     inferred_return: Dim = UNKNOWN
+
+    def __post_init__(self) -> None:
+        args = self.node.args
+        self.param_dims = {}
+        for param in [*args.posonlyargs, *args.args]:
+            dim = _annotation_to_dim(param.annotation)
+            if dim is not None:
+                self.param_dims[param.arg] = dim
+        self.declared_return = _annotation_to_dim(self.node.returns)
+        decorators = decorator_names(self.node)
+        self.is_property = ("property" in decorators
+                            or "cached_property" in decorators)
 
     @property
     def return_dim(self) -> Dim:
@@ -85,17 +92,17 @@ class FunctionInfo:
         return self.inferred_return
 
 
-@dataclass
-class ModuleInfo:
-    """One parsed module plus its units-import resolution map."""
+ModuleInfo = shared.ModuleInfo[FunctionInfo]
 
-    location: str
-    tree: ast.Module
+
+@dataclass
+class UnitsImports:
+    """How one module spells :mod:`repro.units`."""
+
     #: local names bound to the :mod:`repro.units` module object
-    units_aliases: List[str] = field(default_factory=list)
+    aliases: List[str] = field(default_factory=list)
     #: local name -> units member name (``from ..units import GB as G``)
-    units_members: Dict[str, str] = field(default_factory=dict)
-    functions: Dict[str, FunctionInfo] = field(default_factory=dict)
+    members: Dict[str, str] = field(default_factory=dict)
 
 
 def _annotation_to_dim(node: Optional[ast.expr]) -> Optional[Dim]:
@@ -121,95 +128,47 @@ def _annotation_to_dim(node: Optional[ast.expr]) -> Optional[Dim]:
     return None
 
 
-def _decorator_names(node: ast.FunctionDef) -> List[str]:
-    names = []
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, ast.Attribute):
-            names.append(target.attr)
-    return names
+def _units_imports(tree: ast.Module) -> UnitsImports:
+    imports = UnitsImports()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module == "units" or module.endswith(".units"):
+                for alias in node.names:
+                    imports.members[alias.asname or alias.name] = alias.name
+            else:
+                for alias in node.names:
+                    if alias.name == "units":
+                        imports.aliases.append(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "units" or alias.name.endswith(".units"):
+                    imports.aliases.append(
+                        alias.asname or alias.name.split(".")[0])
+    return imports
 
 
-class Program:
-    """Everything the interpreter knows about the scanned tree."""
+class DimensionProgram(shared.Program[FunctionInfo]):
+    """The scanned tree plus dimension summaries and attribute dims."""
 
-    def __init__(self) -> None:
-        self.modules: List[ModuleInfo] = []
-        #: bare function name -> every definition carrying that name
-        self.by_name: Dict[str, List[FunctionInfo]] = {}
+    def __init__(self, sources: Iterable[Source]) -> None:
         #: attribute name -> dimension, from annotated class fields and
         #: properties; names whose definitions disagree are dropped.
         self.attr_dims: Dict[str, Dim] = {}
         self._attr_conflicts: set = set()
+        super().__init__(sources, FunctionInfo)
+        #: module location -> its units-import resolution map
+        self.units = {module.location: _units_imports(module.tree)
+                      for module in self.modules}
+        for definitions in self.by_name.values():
+            for fn in definitions:
+                if fn.is_property and fn.declared_return is not None:
+                    self._note_attr(fn.name, fn.declared_return)
+        for module in self.modules:
+            self._collect_class_fields(module.tree)
 
-    # -- collection --------------------------------------------------------
-    def add_module(self, location: str, tree: ast.Module) -> None:
-        info = ModuleInfo(location=location, tree=tree)
-        self._collect_imports(info)
-        self._collect_functions(info)
-        self._collect_class_fields(info)
-        self.modules.append(info)
-
-    def _collect_imports(self, info: ModuleInfo) -> None:
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module == "units" or module.endswith(".units"):
-                    for alias in node.names:
-                        info.units_members[alias.asname or alias.name] = \
-                            alias.name
-                else:
-                    for alias in node.names:
-                        if alias.name == "units":
-                            info.units_aliases.append(
-                                alias.asname or alias.name)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "units" or alias.name.endswith(".units"):
-                        info.units_aliases.append(
-                            alias.asname or alias.name.split(".")[0])
-
-    def _collect_functions(self, info: ModuleInfo) -> None:
-        def visit(body: Iterable[ast.stmt], class_name: str = "") -> None:
-            for node in body:
-                if isinstance(node, ast.ClassDef):
-                    visit(node.body, node.name)
-                elif isinstance(node, ast.FunctionDef):
-                    self._add_function(info, node, class_name)
-
-        visit(info.tree.body)
-
-    def _add_function(self, info: ModuleInfo, node: ast.FunctionDef,
-                      class_name: str) -> None:
-        decorators = _decorator_names(node)
-        is_method = bool(class_name) and "staticmethod" not in decorators
-        params = [*node.args.posonlyargs, *node.args.args]
-        param_names = [p.arg for p in params]
-        param_dims: Dict[str, Dim] = {}
-        for param in params:
-            dim = _annotation_to_dim(param.annotation)
-            if dim is not None:
-                param_dims[param.arg] = dim
-        fn = FunctionInfo(
-            name=node.name,
-            qualname=f"{class_name}.{node.name}" if class_name else node.name,
-            module=info.location,
-            node=node,
-            is_method=is_method,
-            is_property="property" in decorators or "cached_property" in decorators,
-            param_names=param_names,
-            param_dims=param_dims,
-            declared_return=_annotation_to_dim(node.returns),
-        )
-        info.functions.setdefault(node.name, fn)
-        self.by_name.setdefault(node.name, []).append(fn)
-        if fn.is_property and fn.declared_return is not None:
-            self._note_attr(node.name, fn.declared_return)
-
-    def _collect_class_fields(self, info: ModuleInfo) -> None:
-        for node in ast.walk(info.tree):
+    def _collect_class_fields(self, tree: ast.Module) -> None:
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             for stmt in ast.walk(node):
@@ -237,57 +196,32 @@ class Program:
             del self.attr_dims[name]
             self._attr_conflicts.add(name)
 
-    # -- interprocedural resolution ---------------------------------------
-    def resolve_call(self, info: ModuleInfo,
-                     name: str) -> Optional[FunctionInfo]:
-        """The summary a bare-name or method call resolves to, if unique.
+    def summary_key(self, fn: FunctionInfo) -> object:
+        # Arguments are checked against the first of several same-named
+        # definitions, so they must agree on parameters as well.
+        return (fn.return_dim, fn.param_dims, fn.param_names)
 
-        Module-local definitions win; otherwise a tree-wide unique name
-        resolves, and several same-named definitions resolve only when
-        their return dimensions agree (arguments are then checked
-        against the first definition only if all agree on those too).
-        """
-        local = info.functions.get(name)
-        if local is not None:
-            return local
-        candidates = self.by_name.get(name, [])
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        first = candidates[0]
-        if all(c.return_dim == first.return_dim
-               and c.param_dims == first.param_dims
-               and c.param_names == first.param_names
-               and c.is_method == first.is_method
-               for c in candidates[1:]):
-            return first
-        return None
-
-    def infer_round(self) -> bool:
-        """One fixpoint round; returns True when any summary changed."""
-        changed = False
-        for info in self.modules:
-            for fn in info.functions.values():
-                if fn.declared_return is not None:
-                    continue
-                interp = _Interpreter(self, info, fn, collect=False)
-                inferred = interp.run()
-                if inferred != fn.inferred_return:
-                    fn.inferred_return = inferred
-                    changed = True
-                    if fn.is_property:
-                        self._note_attr(fn.name, inferred)
-        return changed
+    def interpret(self, module: ModuleInfo, fn: FunctionInfo, *,
+                  collect: bool) -> List[Finding]:
+        if fn.declared_return is not None and not collect:
+            return []  # nothing to infer
+        interp = _Interpreter(self, module, fn, collect=collect)
+        inferred = interp.run()
+        if not collect and inferred != fn.inferred_return:
+            fn.inferred_return = inferred
+            if fn.is_property:
+                self._note_attr(fn.name, inferred)
+        return interp.findings
 
 
 class _Interpreter:
     """Abstract interpretation of one function body."""
 
-    def __init__(self, program: Program, module: ModuleInfo,
+    def __init__(self, program: DimensionProgram, module: ModuleInfo,
                  fn: FunctionInfo, *, collect: bool) -> None:
         self.program = program
         self.module = module
+        self.units = program.units[module.location]
         self.fn = fn
         self.collect = collect
         self.findings: List[Finding] = []
@@ -429,7 +363,7 @@ class _Interpreter:
         if isinstance(target, ast.Name):
             env[target.id] = dim
         elif isinstance(target, ast.Attribute):
-            path = _dotted(target)
+            path = dotted(target)
             if path:
                 env[path] = dim
         elif isinstance(target, (ast.Tuple, ast.List)):
@@ -483,7 +417,7 @@ class _Interpreter:
         if isinstance(node, ast.Name):
             if node.id in env:
                 return env[node.id]
-            member = self.module.units_members.get(node.id)
+            member = self.units.members.get(node.id)
             if member is not None and member in UNITS_CONSTANTS:
                 return UNITS_CONSTANTS[member]
             return UNKNOWN
@@ -554,11 +488,11 @@ class _Interpreter:
 
     def _attribute_dim(self, node: ast.Attribute,
                        env: Dict[str, Dim]) -> Dim:
-        path = _dotted(node)
+        path = dotted(node)
         if path and path in env:
             return env[path]
         root = path.split(".", 1)[0] if path else ""
-        if root in self.module.units_aliases:
+        if root in self.units.aliases:
             member = path.split(".", 1)[1] if "." in path else ""
             if member in UNITS_CONSTANTS:
                 return UNITS_CONSTANTS[member]
@@ -661,7 +595,7 @@ class _Interpreter:
     def _name_call_dim(self, node: ast.Call, name: str,
                        arg_dims: List[Dim],
                        kwarg_dims: Dict[str, Dim]) -> Dim:
-        member = self.module.units_members.get(name)
+        member = self.units.members.get(name)
         if member is not None and member in UNITS_FUNCTIONS:
             return self._check_units_fn(node, member, arg_dims)
         if name in _PASS_THROUGH_BUILTINS and len(arg_dims) == 1:
@@ -687,8 +621,8 @@ class _Interpreter:
                          arg_dims: List[Dim], kwarg_dims: Dict[str, Dim],
                          env: Dict[str, Dim]) -> Dim:
         name = func.attr
-        root = _dotted(func).split(".", 1)[0]
-        if root in self.module.units_aliases and name in UNITS_FUNCTIONS:
+        root = dotted(func).split(".", 1)[0]
+        if root in self.units.aliases and name in UNITS_FUNCTIONS:
             return self._check_units_fn(node, name, arg_dims)
         contract = SINK_CONTRACTS.get(name)
         if contract is not None:
@@ -785,60 +719,11 @@ class _Interpreter:
                     )
 
 
-def _dotted(node: ast.expr) -> str:
-    """``a.b.c`` for an attribute chain rooted at a Name, else ''."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return ""
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def _scan_files(root: Path) -> List[Path]:
-    package_dirs = [root / name for name in DIM_PACKAGES
-                    if (root / name).is_dir()]
-    if package_dirs:
-        files: List[Path] = []
-        for directory in package_dirs:
-            files.extend(directory.rglob("*.py"))
-        return sorted(files)
-    return sorted(root.rglob("*.py"))
-
-
-class DimensionAnalyzer:
-    """Builds a :class:`Program` over a tree and checks every function."""
-
-    def __init__(self, root: Path) -> None:
-        self.root = root
-        self.program = Program()
-        for path in _scan_files(root):
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-            except (SyntaxError, OSError):
-                continue  # SRC000 reports unparseable files
-            self.program.add_module(path.relative_to(root).as_posix(), tree)
-
-    def infer(self) -> None:
-        for _ in range(_MAX_ROUNDS):
-            if not self.program.infer_round():
-                break
-
-    def check(self) -> List[Finding]:
-        findings: List[Finding] = []
-        for module in self.program.modules:
-            for fn in module.functions.values():
-                interp = _Interpreter(self.program, module, fn, collect=True)
-                interp.run()
-                findings.extend(interp.findings)
-        findings.sort(key=lambda f: (f.location, f.code, f.message))
-        return findings
+def build_program(sources: SourceTree) -> DimensionProgram:
+    """The :class:`DimensionProgram` over the dimensional scope of a tree."""
+    return DimensionProgram(sources.modules(DIM_PACKAGES))
 
 
 def analyze_tree(root: Path) -> List[Finding]:
     """Run the full dimensional analysis over every module under ``root``."""
-    analyzer = DimensionAnalyzer(root)
-    analyzer.infer()
-    return analyzer.check()
+    return build_program(SourceTree(root)).analyze()

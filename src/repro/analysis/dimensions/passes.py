@@ -21,8 +21,8 @@ code          severity  meaning
                         ``SRC002``)
 ============  ========  ====================================================
 
-Both passes scan a source tree (``ctx.source_root``), not a cluster, and
-are expensive (full-tree parse + fixpoint), so they are ``cheap=False``
+Both passes scan a source tree (``ctx.sources``, parsed once per
+context), not a cluster, and are expensive (full-tree parse + fixpoint), so they are ``cheap=False``
 and run only from ``repro analyze --dims`` and the CI sanitize matrix.
 """
 
@@ -33,9 +33,8 @@ from typing import Iterator
 from ..context import AnalysisContext
 from ..findings import Finding
 from ..registry import register_pass
-from ..source_lints import DEFAULT_SOURCE_ROOT
-from .engine import analyze_tree
-from .vocabulary import lint_vocabulary_tree
+from .engine import build_program
+from .vocabulary import lint_vocabulary
 
 #: codes the abstract interpreter may emit
 FLOW_CODES = ("DIM001", "DIM002", "DIM003", "DIM004", "DIM005", "DIM006")
@@ -51,9 +50,7 @@ VOCABULARY_CODES = ("DIM010", "DIM011")
     codes=FLOW_CODES,
 )
 def dim_flow(ctx: AnalysisContext) -> Iterator[Finding]:
-    root = (ctx.source_root if ctx.source_root is not None
-            else DEFAULT_SOURCE_ROOT)
-    yield from analyze_tree(root)
+    yield from build_program(ctx.sources).analyze()
 
 
 @register_pass(
@@ -63,6 +60,4 @@ def dim_flow(ctx: AnalysisContext) -> Iterator[Finding]:
     codes=VOCABULARY_CODES,
 )
 def dim_vocabulary(ctx: AnalysisContext) -> Iterator[Finding]:
-    root = (ctx.source_root if ctx.source_root is not None
-            else DEFAULT_SOURCE_ROOT)
-    yield from lint_vocabulary_tree(root)
+    yield from lint_vocabulary(ctx.sources)

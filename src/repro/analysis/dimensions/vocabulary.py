@@ -22,11 +22,11 @@ read (see :mod:`~repro.analysis.baseline`).
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterator, List
+from typing import Iterator
 
 from ... import units
 from ..findings import Finding, Severity
+from ..program import SourceTree
 
 PASS_NAME = "dim-vocabulary"
 
@@ -136,20 +136,11 @@ def _lint_module(tree: ast.Module, location: str) -> Iterator[Finding]:
                 )
 
 
-def lint_vocabulary_tree(root: Path) -> List[Finding]:
-    """Run the vocabulary lints over every ``.py`` file under ``root``.
+def lint_vocabulary(sources: SourceTree) -> Iterator[Finding]:
+    """Run the vocabulary lints over every parseable file of the tree.
 
-    Unparseable files are skipped here; the unit-hygiene pass already
-    reports them as ``SRC000``.
+    ``units.py`` defines the constants and is exempt; unparseable files
+    are skipped here, since unit hygiene reports them as ``SRC000``.
     """
-    findings: List[Finding] = []
-    for path in sorted(root.rglob("*.py")):
-        if path.name == "units.py":
-            continue
-        location = path.relative_to(root).as_posix()
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-        except SyntaxError:
-            continue
-        findings.extend(_lint_module(tree, location))
-    return findings
+    for tree, location in sources.modules(exclude=("units.py",)):
+        yield from _lint_module(tree, location)

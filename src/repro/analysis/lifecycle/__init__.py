@@ -7,12 +7,13 @@ analysis.lifecycle.passes` registers the ``res-typestate`` pass.  The
 runtime counterpart lives in :mod:`repro.sim.leaksan`.
 """
 
-from .engine import LifecycleAnalyzer, analyze_tree
+from .engine import LifecycleProgram, analyze_tree, build_program
 from .protocols import PROTOCOLS, STATIC_PROTOCOLS, Protocol
 
 __all__ = [
-    "LifecycleAnalyzer",
+    "LifecycleProgram",
     "analyze_tree",
+    "build_program",
     "PROTOCOLS",
     "STATIC_PROTOCOLS",
     "Protocol",

@@ -1,11 +1,13 @@
 """The resource-lifecycle typestate interpreter.
 
-:func:`analyze_tree` drives three phases over every module in scope,
-mirroring the dimensional engine (:mod:`~repro.analysis.dimensions.
-engine`) it shares its architecture with:
+:class:`LifecycleProgram` runs on the interprocedural skeleton it shares
+with the dimensional engine (:class:`repro.analysis.program.Program`:
+collection, call resolution, capped fixpoint, check-and-sort run) and
+supplies the summary, its agreement key, and the typestate interpreter
+below.  The three phases run over every module in scope:
 
-1. **Collection** — parse each file once and harvest every function
-   definition plus each module's import map.
+1. **Collection** — harvest every function definition (methods
+   included) from the modules the per-run source loader parsed.
 2. **Fixpoint inference** — every function gets an interprocedural
    *lifecycle summary*: which parameter positions it releases, which it
    escapes (stores/returns/containers), and whether it returns a freshly
@@ -37,11 +39,13 @@ from __future__ import annotations
 
 import ast
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from .. import program as shared
 from ..findings import Finding, Severity
+from ..program import Source, SourceTree, dotted
 from .protocols import (
     ACQUIRE_METHODS,
     CONSTRUCTORS,
@@ -61,9 +65,6 @@ LIFECYCLE_PACKAGES = (
     "sim", "runtime", "collectives", "parallel", "hardware", "model",
     "telemetry", "trace", "faults", "campaign", "core",
 )
-
-#: fixpoint iteration cap; summaries stabilize in 2-3 rounds in practice
-_MAX_ROUNDS = 5
 
 # -- handle states ---------------------------------------------------------
 
@@ -109,15 +110,9 @@ States = Dict[int, Handle]
 
 
 @dataclass
-class FunctionInfo:
+class FunctionInfo(shared.FunctionInfo):
     """Interprocedural lifecycle summary of one function definition."""
 
-    name: str
-    qualname: str
-    module: str
-    node: ast.FunctionDef
-    is_method: bool
-    param_names: List[str]
     #: parameter positions whose handle this function releases
     releases_params: Tuple[int, ...] = ()
     #: parameter positions whose handle this function escapes
@@ -126,103 +121,33 @@ class FunctionInfo:
     returns_fresh: Optional[str] = None
 
 
-@dataclass
-class ModuleInfo:
-    """One parsed module in the scanned tree."""
-
-    location: str
-    tree: ast.Module
-    functions: Dict[str, FunctionInfo] = field(default_factory=dict)
+ModuleInfo = shared.ModuleInfo[FunctionInfo]
 
 
-class Program:
-    """Everything the interpreter knows about the scanned tree."""
+class LifecycleProgram(shared.Program[FunctionInfo]):
+    """The scanned tree plus per-function lifecycle summaries."""
 
-    def __init__(self) -> None:
-        self.modules: List[ModuleInfo] = []
-        self.by_name: Dict[str, List[FunctionInfo]] = {}
+    def __init__(self, sources: Iterable[Source]) -> None:
+        super().__init__(sources, FunctionInfo)
 
-    def add_module(self, location: str, tree: ast.Module) -> None:
-        info = ModuleInfo(location=location, tree=tree)
-        self._collect_functions(info)
-        self.modules.append(info)
+    def summary_key(self, fn: FunctionInfo) -> object:
+        return (fn.releases_params, fn.escapes_params, fn.returns_fresh)
 
-    def _collect_functions(self, info: ModuleInfo) -> None:
-        def visit(body: Iterable[ast.stmt], class_name: str = "") -> None:
-            for node in body:
-                if isinstance(node, ast.ClassDef):
-                    visit(node.body, node.name)
-                elif isinstance(node, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                    self._add_function(info, node, class_name)
-
-        visit(info.tree.body)
-
-    def _add_function(self, info: ModuleInfo, node: ast.FunctionDef,
-                      class_name: str) -> None:
-        decorators = _decorator_names(node)
-        is_method = bool(class_name) and "staticmethod" not in decorators
-        params = [*node.args.posonlyargs, *node.args.args]
-        fn = FunctionInfo(
-            name=node.name,
-            qualname=(f"{class_name}.{node.name}"
-                      if class_name else node.name),
-            module=info.location,
-            node=node,
-            is_method=is_method,
-            param_names=[p.arg for p in params],
-        )
-        info.functions.setdefault(node.name, fn)
-        self.by_name.setdefault(node.name, []).append(fn)
-
-    def resolve_call(self, info: ModuleInfo,
-                     name: str) -> Optional[FunctionInfo]:
-        """The summary a call by bare name resolves to, if unambiguous.
-
-        Module-local definitions win; otherwise a tree-wide unique name
-        resolves, and several same-named definitions resolve only when
-        their lifecycle summaries agree.
-        """
-        local = info.functions.get(name)
-        if local is not None:
-            return local
-        candidates = self.by_name.get(name, [])
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        first = candidates[0]
-        if all(c.releases_params == first.releases_params
-               and c.escapes_params == first.escapes_params
-               and c.returns_fresh == first.returns_fresh
-               and c.is_method == first.is_method
-               for c in candidates[1:]):
-            return first
-        return None
-
-    def infer_round(self) -> bool:
-        """One fixpoint round; returns True when any summary changed."""
-        changed = False
-        for info in self.modules:
-            for fn in info.functions.values():
-                interp = _Interpreter(self, info, fn, collect=False)
-                interp.run()
-                summary = (tuple(sorted(interp.released_params)),
-                           tuple(sorted(interp.escaped_params)),
-                           interp.returns_fresh)
-                held = (fn.releases_params, fn.escapes_params,
-                        fn.returns_fresh)
-                if summary != held:
-                    (fn.releases_params, fn.escapes_params,
-                     fn.returns_fresh) = summary
-                    changed = True
-        return changed
+    def interpret(self, module: ModuleInfo, fn: FunctionInfo, *,
+                  collect: bool) -> List[Finding]:
+        interp = _Interpreter(self, module, fn, collect=collect)
+        interp.run()
+        if not collect:
+            fn.releases_params = tuple(sorted(interp.released_params))
+            fn.escapes_params = tuple(sorted(interp.escaped_params))
+            fn.returns_fresh = interp.returns_fresh
+        return interp.findings
 
 
 class _Interpreter:
     """Typestate interpretation of one function body."""
 
-    def __init__(self, program: Program, module: ModuleInfo,
+    def __init__(self, program: LifecycleProgram, module: ModuleInfo,
                  fn: FunctionInfo, *, collect: bool) -> None:
         self.program = program
         self.module = module
@@ -434,18 +359,11 @@ class _Interpreter:
         if stmt.value is None:
             self._branch_exit(states)
             return
-        hid = self._eval(stmt.value, env, states)
-        if hid is not None and hid != _NOT_HANDLE and hid in states:
-            handle = states[hid]
-            if handle.state == ACQUIRED:
-                if handle.protocol.shape == "token":
-                    self.returns_fresh = handle.protocol.name
-                self._check_scope_escape(handle, stmt.lineno,
-                                         verb="returned")
-                handle.state = ESCAPED
-            elif handle.state == BORROWED and \
-                    handle.param_index is not None:
-                self.escaped_params.add(handle.param_index)
+        handle = _tracked(self._eval(stmt.value, env, states), states)
+        if handle is not None and handle.state == ACQUIRED and \
+                handle.protocol.shape == "token":
+            self.returns_fresh = handle.protocol.name
+        self._escape_handle(handle, line=stmt.lineno, verb="returned")
         self._escape_names(stmt.value, env, states, line=stmt.lineno,
                            verb="returned")
         self._branch_exit(states)
@@ -502,10 +420,9 @@ class _Interpreter:
                          states: States) -> None:
         """RES010: a token-acquire result dropped on the floor can never
         be released."""
-        if hid is None or hid == _NOT_HANDLE or hid not in states:
-            return
-        handle = states[hid]
-        if handle.state != ACQUIRED or handle.protocol.shape != "token":
+        handle = _tracked(hid, states)
+        if handle is None or handle.state != ACQUIRED or \
+                handle.protocol.shape != "token":
             return
         if not (isinstance(value, ast.Call)
                 and isinstance(value.func, ast.Attribute)
@@ -561,23 +478,10 @@ class _Interpreter:
                 env[target.id] = hid
         elif isinstance(target, ast.Attribute):
             # Storing a handle on an object escapes it (long-lived owner)
-            if hid is not None and hid != _NOT_HANDLE and hid in states:
-                handle = states[hid]
-                if handle.state == ACQUIRED:
-                    self._check_scope_escape(handle, target.lineno,
-                                             verb="stored")
-                    handle.state = ESCAPED
-                elif handle.state == BORROWED and \
-                        handle.param_index is not None:
-                    self.escaped_params.add(handle.param_index)
+            self._escape_handle(_tracked(hid, states), line=target.lineno,
+                                verb="stored")
         elif isinstance(target, ast.Subscript):
-            if hid is not None and hid != _NOT_HANDLE and hid in states:
-                handle = states[hid]
-                if handle.state == ACQUIRED:
-                    handle.state = ESCAPED
-                elif handle.state == BORROWED and \
-                        handle.param_index is not None:
-                    self.escaped_params.add(handle.param_index)
+            self._escape_handle(_tracked(hid, states))
             self._eval(target.value, env, states)
         elif isinstance(target, (ast.Tuple, ast.List)):
             if isinstance(value, (ast.Tuple, ast.List)) and \
@@ -597,16 +501,8 @@ class _Interpreter:
         for child in ast.walk(node):
             if not isinstance(child, ast.Name):
                 continue
-            hid = env.get(child.id)
-            if hid is None or hid == _NOT_HANDLE or hid not in states:
-                continue
-            handle = states[hid]
-            if handle.state == ACQUIRED:
-                self._check_scope_escape(handle, line, verb=verb)
-                handle.state = ESCAPED
-            elif handle.state == BORROWED and \
-                    handle.param_index is not None:
-                self.escaped_params.add(handle.param_index)
+            self._escape_handle(_tracked(env.get(child.id), states),
+                                line=line, verb=verb)
 
     # -- expressions -------------------------------------------------------
     def _eval(self, node: Optional[ast.expr], env: Env,
@@ -694,7 +590,7 @@ class _Interpreter:
         func = node.func
         assert isinstance(func, ast.Attribute)
         method = func.attr
-        receiver = _dotted(func.value)
+        receiver = dotted(func.value)
         npos = len(node.args)
         self._check_receiver_use(receiver, env, states, node.lineno,
                                  method)
@@ -794,9 +690,9 @@ class _Interpreter:
                 name = "<expression>"
             else:
                 continue
-            if hid is None or hid == _NOT_HANDLE or hid not in states:
+            handle = _tracked(hid, states)
+            if handle is None:
                 continue
-            handle = states[hid]
             callee_pos = index + offset
             if handle.state == RELEASED:
                 self._use_after_release(handle, name, node.lineno)
@@ -810,22 +706,23 @@ class _Interpreter:
                 self._escape_handle(handle)
         for kw in node.keywords:
             if isinstance(kw.value, ast.Name):
-                hid = env.get(kw.value.id)
-                if hid is not None and hid != _NOT_HANDLE and \
-                        hid in states:
-                    self._escape_handle(states[hid])
+                self._escape_handle(_tracked(env.get(kw.value.id), states))
 
     def _escape_args(self, node: ast.Call, env: Env,
                      states: States) -> None:
         for arg in node.args:
             if isinstance(arg, ast.Name):
-                hid = env.get(arg.id)
-                if hid is not None and hid != _NOT_HANDLE and \
-                        hid in states:
-                    self._escape_handle(states[hid])
+                self._escape_handle(_tracked(env.get(arg.id), states))
 
-    def _escape_handle(self, handle: Handle) -> None:
+    def _escape_handle(self, handle: Optional[Handle], *, line: int = 0,
+                       verb: str = "") -> None:
+        """Ownership of ``handle`` moved elsewhere; ``verb`` (with the
+        ``line``) additionally audits a with-scope escape (RES006)."""
+        if handle is None:
+            return
         if handle.state == ACQUIRED:
+            if verb:
+                self._check_scope_escape(handle, line, verb=verb)
             handle.state = ESCAPED
         elif handle.state == BORROWED and handle.param_index is not None:
             self.escaped_params.add(handle.param_index)
@@ -863,11 +760,9 @@ class _Interpreter:
                             method: str) -> None:
         """Calling a method *on* a released token is a use (RES004)."""
         root = receiver.split(".", 1)[0]
-        hid = env.get(root)
-        if hid is None or hid == _NOT_HANDLE or hid not in states:
-            return
-        handle = states[hid]
-        if handle.state == RELEASED and receiver == root:
+        handle = _tracked(env.get(root), states)
+        if handle is not None and handle.state == RELEASED and \
+                receiver == root:
             self._use_after_release(handle, root, line)
 
     # -- protocol verbs ----------------------------------------------------
@@ -893,10 +788,10 @@ class _Interpreter:
         if not isinstance(arg, ast.Name):
             # releasing a fresh sub-expression (``settle(make())``) or a
             # stored attribute: close the inline handle if we made one
-            if arg_id is not None and arg_id != _NOT_HANDLE and \
-                    arg_id in states and states[arg_id].state == ACQUIRED:
-                states[arg_id].state = RELEASED
-                states[arg_id].released_line = node.lineno
+            inline = _tracked(arg_id, states)
+            if inline is not None and inline.state == ACQUIRED:
+                inline.state = RELEASED
+                inline.released_line = node.lineno
             return
         hid = env.get(arg.id)
         if hid is None:
@@ -950,9 +845,7 @@ class _Interpreter:
         if label is None:
             return  # computed labels are not provably matchable
         key = f"{receiver}::{label}"
-        hid = env.get(key)
-        handle = states.get(hid) if hid is not None and \
-            hid != _NOT_HANDLE else None
+        handle = _tracked(env.get(key), states)
         if handle is not None:
             if handle.state == ACQUIRED:
                 self._check_unguarded(handle, node.lineno)
@@ -999,9 +892,7 @@ class _Interpreter:
         if label is None:
             return _NOT_HANDLE  # computed labels are not tracked
         key = f"{receiver}::{label}"
-        hid = env.get(key)
-        existing = states.get(hid) if hid is not None and \
-            hid != _NOT_HANDLE else None
+        existing = _tracked(env.get(key), states)
         if existing is not None:
             # labels accumulate; re-allocation after free is legal
             existing.state = ACQUIRED
@@ -1063,79 +954,20 @@ def _literal_str(node: Optional[ast.expr]) -> Optional[str]:
     return None
 
 
-def _decorator_names(node: ast.FunctionDef) -> List[str]:
-    names = []
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) \
-            else decorator
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, ast.Attribute):
-            names.append(target.attr)
-    return names
-
-
-def _dotted(node: ast.expr) -> str:
-    """``a.b.c`` for an attribute chain rooted at a Name, else ''."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return ""
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+def _tracked(hid: Optional[int], states: States) -> Optional[Handle]:
+    """The handle ``hid`` names; ``None`` and ``_NOT_HANDLE`` name none."""
+    return states.get(hid) if hid is not None else None
 
 
 def _copy(states: States) -> States:
     return {hid: handle.copy() for hid, handle in states.items()}
 
 
-def _scan_files(root: Path) -> List[Path]:
-    package_dirs = [root / name for name in LIFECYCLE_PACKAGES
-                    if (root / name).is_dir()]
-    if package_dirs:
-        files: List[Path] = []
-        for directory in package_dirs:
-            files.extend(directory.rglob("*.py"))
-        return sorted(files)
-    return sorted(root.rglob("*.py"))
-
-
-class LifecycleAnalyzer:
-    """Builds a :class:`Program` over a tree and checks every function."""
-
-    def __init__(self, root: Path) -> None:
-        root = Path(root)
-        self.root = root
-        self.program = Program()
-        for path in _scan_files(root):
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-            except (SyntaxError, OSError):
-                continue  # SRC000 reports unparseable files
-            self.program.add_module(path.relative_to(root).as_posix(),
-                                    tree)
-
-    def infer(self) -> None:
-        for _ in range(_MAX_ROUNDS):
-            if not self.program.infer_round():
-                break
-
-    def check(self) -> List[Finding]:
-        findings: List[Finding] = []
-        for module in self.program.modules:
-            for fn in module.functions.values():
-                interp = _Interpreter(self.program, module, fn,
-                                      collect=True)
-                interp.run()
-                findings.extend(interp.findings)
-        findings.sort(key=lambda f: (f.location, f.code, f.message))
-        return findings
+def build_program(sources: SourceTree) -> LifecycleProgram:
+    """The :class:`LifecycleProgram` over the lifecycle scope of a tree."""
+    return LifecycleProgram(sources.modules(LIFECYCLE_PACKAGES))
 
 
 def analyze_tree(root: Path) -> List[Finding]:
     """Run the full lifecycle analysis over every module under ``root``."""
-    analyzer = LifecycleAnalyzer(root)
-    analyzer.infer()
-    return analyzer.check()
+    return build_program(SourceTree(root)).analyze()

@@ -29,7 +29,7 @@ pool/ledger balance at teardown, ``RES008`` runtime protocol error
 observed under instrumentation, ``RES009`` cross-validation — a static
 RES finding matched (or contradicted) by an observed runtime leak.
 
-The pass scans a source tree (``ctx.source_root``), not a cluster, and
+The pass scans a source tree (``ctx.sources``), not a cluster, and
 is expensive (full-tree parse + interprocedural fixpoint), so it is
 ``cheap=False`` and runs only from ``repro analyze --lifecycle`` and the
 CI lifecycle job.
@@ -42,8 +42,7 @@ from typing import Iterator
 from ..context import AnalysisContext
 from ..findings import Finding
 from ..registry import register_pass
-from ..source_lints import DEFAULT_SOURCE_ROOT
-from .engine import analyze_tree
+from .engine import build_program
 
 #: codes the typestate interpreter may emit
 RES_CODES = ("RES001", "RES002", "RES003", "RES004", "RES005", "RES006",
@@ -58,6 +57,4 @@ RES_CODES = ("RES001", "RES002", "RES003", "RES004", "RES005", "RES006",
     codes=RES_CODES,
 )
 def res_typestate(ctx: AnalysisContext) -> Iterator[Finding]:
-    root = (ctx.source_root if ctx.source_root is not None
-            else DEFAULT_SOURCE_ROOT)
-    yield from analyze_tree(root)
+    yield from build_program(ctx.sources).analyze()

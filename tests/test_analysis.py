@@ -30,9 +30,10 @@ from repro.analysis import (
     self_check,
     write_baseline,
 )
-from repro.analysis.dimensions.vocabulary import lint_vocabulary_tree
+from repro.analysis.dimensions.vocabulary import lint_vocabulary
+from repro.analysis.program import SourceTree
 from repro.analysis.registry import get_pass
-from repro.analysis.source_lints import lint_source_tree
+from repro.analysis.source_lints import source_hygiene
 from repro.core.runner import run_training
 from repro.core.search import model_for_billions
 from repro.errors import ConfigurationError, SimulationError
@@ -480,7 +481,7 @@ class TestLiveness:
 class TestDimVocabulary:
     def _lint(self, tmp_path, source, name="mod.py"):
         (tmp_path / name).write_text(textwrap.dedent(source))
-        return lint_vocabulary_tree(tmp_path)
+        return list(lint_vocabulary(SourceTree(tmp_path)))
 
     def test_magic_decimal_constant_flagged(self, tmp_path):
         findings = self._lint(tmp_path, "CAPACITY = 40 * 1e9\n")
@@ -536,7 +537,7 @@ class TestDimVocabulary:
 class TestSourceLints:
     def _lint(self, tmp_path, source, name="mod.py"):
         (tmp_path / name).write_text(textwrap.dedent(source))
-        return lint_source_tree(tmp_path)
+        return list(source_hygiene(AnalysisContext(source_root=tmp_path)))
 
     def test_process_yielding_constant_flagged(self, tmp_path):
         findings = self._lint(

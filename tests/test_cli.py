@@ -296,6 +296,35 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["passes_run"]) == {"dim-flow", "dim-vocabulary"}
 
+    def test_dims_root_scans_the_given_tree(self, tmp_path, capsys):
+        (tmp_path / "planted.py").write_text(
+            "from repro.units import MS, Bytes\n"
+            "\n"
+            "def budget(num_bytes: Bytes) -> float:\n"
+            "    return num_bytes + 5 * MS\n"
+        )
+        code = main(["analyze", "--dims", "--root", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "DIM001" in out and "planted.py:4" in out
+
+    def test_self_root_scans_the_given_tree(self, tmp_path, capsys):
+        (tmp_path / "clock.py").write_text(
+            "import time\n"
+            "\n"
+            "def stamp():\n"
+            "    return time.time()\n"
+        )
+        code = main(["analyze", "--self", "--root", str(tmp_path)])
+        assert code == 1
+        assert "DET020" in capsys.readouterr().out
+
+    def test_root_needs_a_source_mode(self, tmp_path, capsys):
+        code = main(["analyze", "--strategy", "zero2", "--root",
+                     str(tmp_path)])
+        assert code == 2
+        assert "--root" in capsys.readouterr().err
+
     def test_sanitize_smoke_single_node(self, capsys):
         code = main(["analyze", "--sanitize", "--strategy", "ddp",
                      "--size", "0.7", "--nodes", "1",

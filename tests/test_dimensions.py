@@ -365,12 +365,13 @@ class TestOwnTree:
         # The paper's bandwidth math must actually be inside the checked
         # universe: spot-check that the engine infers real dimensions
         # for the hot paths, rather than silently knowing nothing.
-        from repro.analysis.dimensions.engine import DimensionAnalyzer
+        from repro.analysis.dimensions.engine import build_program
+        from repro.analysis.program import SourceTree
         import repro
 
-        analyzer = DimensionAnalyzer(Path(repro.__file__).parent)
-        analyzer.infer()
-        by_name = analyzer.program.by_name
+        program = build_program(SourceTree(Path(repro.__file__).parent))
+        program.infer()
+        by_name = program.by_name
 
         def return_dim(name):
             dims = {fn.return_dim for fn in by_name[name]}
@@ -381,7 +382,7 @@ class TestOwnTree:
         assert return_dim("gemm_time") == TIME
         assert return_dim("memory_bound_time") == TIME
         assert str(return_dim("bandwidth")) == "bytes/s"
-        attr_dims = analyzer.program.attr_dims
+        attr_dims = program.attr_dims
         assert attr_dims["now"] == TIME
         assert attr_dims["num_bytes"] == BYTES
         assert str(attr_dims["hbm_bandwidth"]) == "bytes/s"

@@ -276,15 +276,16 @@ class TestOwnTree:
         # The real acquire/release helpers must be inside the checked
         # universe: spot-check inferred summaries instead of trusting
         # silence.
-        from repro.analysis.lifecycle.engine import LifecycleAnalyzer
+        from repro.analysis.lifecycle.engine import build_program
+        from repro.analysis.program import SourceTree
         import repro
 
-        analyzer = LifecycleAnalyzer(Path(repro.__file__).parent)
-        analyzer.infer()
-        by_name = analyzer.program.by_name
+        program = build_program(SourceTree(Path(repro.__file__).parent))
+        program.infer()
+        by_name = program.by_name
         assert "apply_memory_plan" in by_name
         assert "release_memory_plan" in by_name
-        names = {fn.qualname for module in analyzer.program.modules
+        names = {fn.qualname for module in program.modules
                  for fn in module.functions.values()}
         assert any("MemoryPool.lease" in q for q in names)
         assert any("BandwidthLedger.reserving" in q for q in names)
