@@ -27,7 +27,6 @@ from .build import (
     build_placement,
     build_retry_policy,
     build_strategy,
-    build_tie_order,
     build_training,
     run_spec,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "build_placement",
     "build_retry_policy",
     "build_strategy",
-    "build_tie_order",
     "build_training",
     "canonical_json",
     "default_salt",

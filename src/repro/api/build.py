@@ -4,12 +4,12 @@ objects and run it.
 This is the one place that maps canonical names back to objects:
 strategy names through :data:`repro.experiments.common.ALL_STRATEGIES`,
 placement keys through :data:`repro.parallel.placement.PLACEMENTS`,
-fault spec strings through :meth:`repro.faults.FaultPlan.parse`, and
-tie-order policy names onto the engine's :class:`~repro.sim.engine.
-TieOrder` classes.  The cluster-preset rule matches the CLI and the
-perturbation differ: NVMe strategies get a cluster wired from the
-placement's node spec; everything else uses the standard single-/dual-
-node presets (and an explicit ``ClusterSpec`` beyond two nodes).
+and fault spec strings through :meth:`repro.faults.FaultPlan.parse`
+(tie-order names map in :func:`repro.sim.instruments.tie_order_for`).
+The cluster-preset rule matches the CLI and the perturbation differ:
+NVMe strategies get a cluster wired from the placement's node spec;
+everything else uses the standard single-/dual-node presets (and an
+explicit ``ClusterSpec`` beyond two nodes).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..hardware.cluster import Cluster, ClusterSpec
 from ..hardware.presets import dual_node_cluster, single_node_cluster
 from ..model.config import ModelConfig, TrainingConfig, paper_model
 from ..parallel.placement import PLACEMENTS, PlacementConfig
-from ..sim.engine import ReversedTies, SeededTies, TieOrder
+from ..sim.instruments import tie_order_for
 from .spec import RunSpec
 
 
@@ -104,14 +104,6 @@ def build_retry_policy(spec: RunSpec) -> Optional[RetryPolicy]:
     )
 
 
-def build_tie_order(spec: RunSpec) -> Optional[TieOrder]:
-    if spec.tie_order == "reversed":
-        return ReversedTies()
-    if spec.tie_order == "seeded":
-        return SeededTies(spec.tie_seed)
-    return None  # fifo: the engine default
-
-
 def run_spec(spec: RunSpec, *, cluster: Optional[Cluster] = None
              ) -> RunMetrics:
     """Simulate one :class:`RunSpec` and return its metrics.
@@ -134,7 +126,7 @@ def run_spec(spec: RunSpec, *, cluster: Optional[Cluster] = None
         placement=build_placement(spec),
         fault_plan=build_fault_plan(spec),
         retry_policy=build_retry_policy(spec),
-        tie_order=build_tie_order(spec),
+        tie_order=tie_order_for(spec.tie_order, spec.tie_seed),
         sanitize=spec.sanitize,
         trace=spec.trace,
         leak_check=spec.leak_check,

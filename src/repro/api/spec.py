@@ -46,6 +46,40 @@ TIE_ORDERS = ("fifo", "reversed", "seeded")
 FIDELITIES = ("full", "hybrid")
 
 
+def check_choice(what: str, value: object, choices: Tuple[str, ...]) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is one of
+    ``choices`` (the spec validators' shared name check)."""
+    if value not in choices:
+        raise ConfigurationError(
+            f"unknown {what} {value!r} (expected one of {choices})"
+        )
+
+
+def check_number(what: str, value: object, *,
+                 above: Optional[float] = None,
+                 at_least: Optional[float] = None,
+                 at_most: Optional[float] = None) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is a finite
+    real number within the given bounds.
+
+    NaN compares false against every bound, so a plain ``value <= 0``
+    check lets it through; this check rejects NaN and infinities first.
+    """
+    number = (value if isinstance(value, (int, float))
+              and not isinstance(value, bool) else math.nan)
+    if not (math.isfinite(number)
+            and (above is None or number > above)
+            and (at_least is None or number >= at_least)
+            and (at_most is None or number <= at_most)):
+        bounds = [f"{op} {bound:g}" for op, bound in (
+            (">", above), (">=", at_least), ("<=", at_most))
+            if bound is not None]
+        raise ConfigurationError(
+            f"{what} must be a finite number {' and '.join(bounds)}, "
+            f"got {value!r}"
+        )
+
+
 def default_salt() -> str:
     """The code-version salt mixed into every cache key.
 
@@ -136,12 +170,8 @@ class RunSpec:
             raise ConfigurationError(
                 "RunSpec needs exactly one of size_billions / num_layers"
             )
-        if self.size_billions is not None and not (
-                0 < self.size_billions < math.inf):
-            raise ConfigurationError(
-                f"size_billions must be a finite positive number, "
-                f"got {self.size_billions!r}"
-            )
+        if self.size_billions is not None:
+            check_number("size_billions", self.size_billions, above=0)
         if self.num_layers is not None and self.num_layers < 1:
             raise ConfigurationError("num_layers must be >= 1")
         if self.nodes < 1:
@@ -150,16 +180,8 @@ class RunSpec:
             raise ConfigurationError(
                 "need more iterations than warmup iterations"
             )
-        if self.tie_order not in TIE_ORDERS:
-            raise ConfigurationError(
-                f"unknown tie order {self.tie_order!r} "
-                f"(expected one of {TIE_ORDERS})"
-            )
-        if self.fidelity not in FIDELITIES:
-            raise ConfigurationError(
-                f"unknown fidelity {self.fidelity!r} "
-                f"(expected one of {FIDELITIES})"
-            )
+        check_choice("tie order", self.tie_order, TIE_ORDERS)
+        check_choice("fidelity", self.fidelity, FIDELITIES)
         # Normalize list -> tuple so from_dict round-trips to equality.
         if not isinstance(self.faults, tuple):
             object.__setattr__(self, "faults", tuple(self.faults))

@@ -58,8 +58,10 @@ from .hardware import Cluster, ClusterSpec, dual_node_cluster, single_node_clust
 from .inference import BATCHING_POLICIES, REQUEST_MIXES
 from .hardware.render import render_cluster, render_cluster_json
 from .parallel.placement import PLACEMENTS
+from .sim.leaksan import LeakReport
 from .stress import full_stress_suite, latency_sweep
 from .telemetry.report import format_table
+from .trace.model import Trace
 from .units import GB, to_billion
 
 
@@ -72,27 +74,30 @@ def _cluster_for(args: argparse.Namespace) -> Cluster:
     return single_node_cluster() if args.nodes == 1 else dual_node_cluster()
 
 
+def _instrument_outputs(args: argparse.Namespace,
+                        leaks: Optional[LeakReport], trace: Optional[Trace],
+                        kind: str, hint: str = "") -> None:
+    """Fail on a leak, write the trace, and say so on stderr."""
+    if args.leak_check:
+        assert leaks is not None
+        leaks.assert_clean()
+        print(f"leak sanitizer: clean ({leaks.pools_audited} pools, "
+              f"{leaks.ledgers_audited} ledgers, "
+              f"{leaks.flows_tracked} flows audited)", file=sys.stderr)
+    if args.trace is not None:
+        from .trace import write_trace
+        assert trace is not None
+        write_trace(trace, args.trace)
+        print(f"{kind} written: {args.trace} ({len(trace.spans)} spans, "
+              f"{len(trace.flows)} flows, {len(trace.links)} links){hint}",
+              file=sys.stderr)
+
+
 def _serve_and_render(spec, args: argparse.Namespace) -> int:
     """Run one InferenceSpec and render its serving report."""
     run = spec.run()
     report = run.report
-    if args.leak_check:
-        assert report.leaks is not None
-        report.leaks.assert_clean()
-        print(f"leak sanitizer: clean "
-              f"({report.leaks.pools_audited} pools, "
-              f"{report.leaks.ledgers_audited} ledgers, "
-              f"{report.leaks.flows_tracked} flows audited)",
-              file=sys.stderr)
-    if args.trace is not None:
-        from .trace import write_trace
-        assert run.trace is not None
-        write_trace(run.trace, args.trace)
-        print(f"serving trace written: {args.trace} "
-              f"({len(run.trace.spans)} spans, "
-              f"{len(run.trace.flows)} flows, "
-              f"{len(run.trace.links)} links)",
-              file=sys.stderr)
+    _instrument_outputs(args, report.leaks, run.trace, "serving trace")
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -173,24 +178,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         fidelity=args.fidelity,
     )
     metrics = run_spec(spec)
-    if args.leak_check:
-        assert metrics.leaks is not None
-        metrics.leaks.assert_clean()
-        print(f"leak sanitizer: clean "
-              f"({metrics.leaks.pools_audited} pools, "
-              f"{metrics.leaks.ledgers_audited} ledgers, "
-              f"{metrics.leaks.flows_tracked} flows audited)",
-              file=sys.stderr)
-    if args.trace is not None:
-        from .trace import write_trace
-        assert metrics.trace is not None
-        write_trace(metrics.trace, args.trace)
-        print(f"trace written: {args.trace} "
-              f"({len(metrics.trace.spans)} spans, "
-              f"{len(metrics.trace.flows)} flows, "
-              f"{len(metrics.trace.links)} links) — load it in "
-              f"https://ui.perfetto.dev or chrome://tracing",
-              file=sys.stderr)
+    _instrument_outputs(args, metrics.leaks, metrics.trace, "trace",
+                        " — load it in https://ui.perfetto.dev or "
+                        "chrome://tracing")
     payload = metrics_to_dict(metrics)
     if args.json:
         # The same machine-readable schema `save_metrics` writes and the
@@ -336,23 +326,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         )
     run = run_cluster(scenario)
     report = run.report
-    if args.leak_check:
-        assert report.leaks is not None
-        report.leaks.assert_clean()
-        print(f"leak sanitizer: clean "
-              f"({report.leaks.pools_audited} pools, "
-              f"{report.leaks.ledgers_audited} ledgers, "
-              f"{report.leaks.flows_tracked} flows audited)",
-              file=sys.stderr)
-    if args.trace is not None:
-        from .trace import write_trace
-        assert run.trace is not None
-        write_trace(run.trace, args.trace)
-        print(f"cluster trace written: {args.trace} "
-              f"({len(run.trace.spans)} spans, "
-              f"{len(run.trace.flows)} flows, "
-              f"{len(run.trace.links)} links)",
-              file=sys.stderr)
+    _instrument_outputs(args, report.leaks, run.trace, "cluster trace")
     payload = report.to_dict()
     if args.json:
         print(json.dumps(payload, indent=2))

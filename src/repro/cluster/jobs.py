@@ -24,6 +24,7 @@ import enum
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..api.spec import check_choice, check_number
 from ..errors import ConfigurationError
 from ..sim.engine import BaseEvent
 
@@ -81,18 +82,13 @@ class JobSpec:
             raise ConfigurationError("job needs a name")
         if not self.tenant:
             raise ConfigurationError("job needs a tenant")
-        if self.workload not in JOB_WORKLOADS:
-            raise ConfigurationError(
-                f"unknown workload {self.workload!r} "
-                f"(expected one of {JOB_WORKLOADS})"
-            )
+        check_choice("workload", self.workload, JOB_WORKLOADS)
         if "nvme" in self.strategy:
             raise ConfigurationError(
                 f"job {self.name!r}: NVMe-offload strategies are not "
                 f"schedulable on the shared cluster service"
             )
-        if self.size_billions <= 0:
-            raise ConfigurationError("size_billions must be positive")
+        check_number("size_billions", self.size_billions, above=0)
         if self.gpus < 1:
             raise ConfigurationError("gpus must be >= 1")
         if self.workload == "inference":
@@ -100,8 +96,8 @@ class JobSpec:
                 raise ConfigurationError(
                     "an inference job needs at least one request"
                 )
-            if self.request_rate_per_s <= 0:
-                raise ConfigurationError("request_rate_per_s must be positive")
+            check_number("request_rate_per_s", self.request_rate_per_s,
+                         above=0)
             if self.max_batch_tokens < 1:
                 raise ConfigurationError("max_batch_tokens must be >= 1")
             if self.max_batch_requests < 1:
@@ -110,11 +106,7 @@ class JobSpec:
             raise ConfigurationError(
                 "need more iterations than warmup iterations"
             )
-        if self.fidelity not in JOB_FIDELITIES:
-            raise ConfigurationError(
-                f"unknown fidelity {self.fidelity!r} "
-                f"(expected one of {JOB_FIDELITIES})"
-            )
+        check_choice("fidelity", self.fidelity, JOB_FIDELITIES)
 
     def to_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

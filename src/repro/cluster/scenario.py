@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..api.spec import TIE_ORDERS, stable_key
+from ..api.spec import TIE_ORDERS, check_choice, check_number, stable_key
 from ..errors import ConfigurationError
 from .arrivals import JOB_MIXES, Arrival, poisson_arrivals, trace_arrivals
 from .daemon import POLICIES
@@ -50,19 +50,14 @@ class ClusterScenario:
             raise ConfigurationError("scenario needs a name")
         if self.nodes < 1:
             raise ConfigurationError("nodes must be >= 1")
-        if self.policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {self.policy!r} "
-                f"(expected one of {POLICIES})"
-            )
+        check_choice("policy", self.policy, POLICIES)
         if self.arrivals not in ("poisson", "trace"):
             raise ConfigurationError(
                 f"unknown arrival profile {self.arrivals!r} "
                 f"(expected 'poisson' or 'trace')"
             )
         if self.arrivals == "poisson":
-            if self.rate_per_hour <= 0:
-                raise ConfigurationError("rate_per_hour must be positive")
+            check_number("rate_per_hour", self.rate_per_hour, above=0)
             if self.num_jobs < 1:
                 raise ConfigurationError("num_jobs must be >= 1")
             if self.mix not in JOB_MIXES:
@@ -74,13 +69,8 @@ class ClusterScenario:
             raise ConfigurationError(
                 "trace arrivals need at least one trace_jobs entry"
             )
-        if self.aging_rate < 0:
-            raise ConfigurationError("aging_rate must be >= 0")
-        if self.tie_order not in TIE_ORDERS:
-            raise ConfigurationError(
-                f"unknown tie order {self.tie_order!r} "
-                f"(expected one of {TIE_ORDERS})"
-            )
+        check_number("aging_rate", self.aging_rate, at_least=0)
+        check_choice("tie order", self.tie_order, TIE_ORDERS)
         if not isinstance(self.trace_jobs, tuple):
             object.__setattr__(self, "trace_jobs", tuple(
                 dict(entry) for entry in self.trace_jobs

@@ -11,10 +11,12 @@ as a process among the job bodies.  Each granted job runs the existing
 :class:`~repro.cluster.views.ClusterView`, with ``flow_tag=f"{job}/"``
 so every flow in the shared ledgers and trace is attributable.
 
-Ledger ownership: the *service* owns the shared network's recorder and
-leak-sanitizer hooks and the pools' observers; job bodies only charge
-and release their own job-prefixed memory-plan labels through the
-existing :func:`~repro.core.runner.apply_memory_plan` /
+Ledger ownership: the *service* owns the shared network's flow
+observers and the pools' leak observer (one
+:class:`~repro.sim.instruments.Instruments`, wired as for a single
+training or serving run); job bodies only charge and release their own
+job-prefixed memory-plan labels through the existing
+:func:`~repro.core.runner.apply_memory_plan` /
 :func:`~repro.core.runner.release_memory_plan` walkers, so the
 byte-conservation audit covers the whole multi-job run.
 
@@ -42,10 +44,11 @@ from ..hardware.cluster import Cluster, ClusterSpec
 from ..model.config import TrainingConfig
 from ..parallel.strategy import MemoryPlan, StrategyContext
 from ..runtime.executor import Executor
-from ..sim.engine import Engine, ReversedTies, SeededTies, TieOrder
+from ..sim.engine import Engine
 from ..sim.fastpath import hybrid_simulated_iterations, is_steady
 from ..sim.flows import FlowNetwork
-from ..sim.leaksan import LeakReport, LeakSanitizer
+from ..sim.instruments import Instruments
+from ..sim.leaksan import LeakReport
 from ..trace.model import Span, Trace
 from ..units import GIB
 from ..trace.recorder import TraceRecorder
@@ -95,14 +98,6 @@ class _JobCollectives:
             tuple(self.view.global_rank(rank) for rank in ranks),
             start, end,
         )
-
-
-def _build_tie_order(scenario: ClusterScenario) -> Optional[TieOrder]:
-    if scenario.tie_order == "reversed":
-        return ReversedTies()
-    if scenario.tie_order == "seeded":
-        return SeededTies(scenario.tie_seed)
-    return None  # fifo: the engine default
 
 
 class _ClusterService:
@@ -290,10 +285,8 @@ class _ClusterService:
                 strategy.calibration.internode_efficiency),
             engine=engine,
             network=self.network,
+            collective_sink=self._collective_sink(job, view),
             flow_tag=f"{job}/",
-            trace_recorder=(
-                _JobCollectives(job, view, self.recorder)
-                if self.recorder is not None else None),
         )
         result = yield from executor.execute(
             sim_iterations,
@@ -410,9 +403,7 @@ class _ClusterService:
             span_ranks=(
                 tuple(view.global_rank(rank) for rank in ranks)
                 if self.recorder is not None else ()),
-            collective_sink=(
-                _JobCollectives(job, view, self.recorder)
-                if self.recorder is not None else None),
+            collective_sink=self._collective_sink(job, view),
             tag=f"{job}:",
         )
         records = [RequestRecord(replace(request, time=request.time + offset))
@@ -441,6 +432,13 @@ class _ClusterService:
             store.mark_completed(record, engine.now)
             daemon.job_finished(record)
 
+    def _collective_sink(self, job: str, view: ClusterView
+                         ) -> Optional[_JobCollectives]:
+        """The job's facade over the shared recorder (traced runs)."""
+        if self.recorder is None:
+            return None
+        return _JobCollectives(job, view, self.recorder)
+
     def _collect_spans(self, record: JobRecord, view: ClusterView,
                        executor: Executor) -> None:
         if self.recorder is None:
@@ -457,15 +455,9 @@ def run_cluster(scenario: ClusterScenario) -> ClusterRun:
     """Simulate one :class:`ClusterScenario` end to end."""
     arrivals = scenario.expand_arrivals()
     cluster = Cluster(ClusterSpec(num_nodes=scenario.nodes))
-    engine = Engine(tie_order=_build_tie_order(scenario))
-    network = FlowNetwork(engine)
-    recorder = TraceRecorder() if scenario.trace else None
-    network.recorder = recorder
-    leaksan: Optional[LeakSanitizer] = None
-    if scenario.leak_check:
-        leaksan = LeakSanitizer()
-        leaksan.attach(cluster)
-        network.leaksan = leaksan
+    instruments = Instruments.for_spec(scenario)
+    engine, network = instruments.build(cluster)
+    recorder = instruments.recorder
 
     service = _ClusterService(scenario, cluster, engine, network, recorder)
     service.validate([arrival.spec for arrival in arrivals])
@@ -486,18 +478,6 @@ def run_cluster(scenario: ClusterScenario) -> ClusterRun:
     check_liveness(engine)
 
     total_time = engine.now
-    leaks: Optional[LeakReport] = None
-    if leaksan is not None:
-        leaks = leaksan.finalize(cluster, network=network,
-                                 recorder=recorder)
-    report = build_report(
-        scenario.name, scenario.policy,
-        nodes=cluster.num_nodes, num_gpus=cluster.num_gpus,
-        total_time=total_time, store=service.store,
-        events_processed=engine.events_processed,
-        events_folded=engine.events_folded,
-        leaks=leaks,
-    )
     trace = (
         build_cluster_trace(cluster, service.store, recorder, total_time,
                             meta={
@@ -507,5 +487,14 @@ def run_cluster(scenario: ClusterScenario) -> ClusterRun:
                                 "num_gpus": cluster.num_gpus,
                             })
         if recorder is not None else None
+    )
+    _, leaks = instruments.finalize()
+    report = build_report(
+        scenario.name, scenario.policy,
+        nodes=cluster.num_nodes, num_gpus=cluster.num_gpus,
+        total_time=total_time, store=service.store,
+        events_processed=engine.events_processed,
+        events_folded=engine.events_folded,
+        leaks=leaks,
     )
     return ClusterRun(report=report, trace=trace)

@@ -6,7 +6,8 @@ a *service* trace: rank-lane spans from every job's collected timeline
 (already mapped to global ranks and prefixed ``job_id:`` by the
 service), flow and collective spans from the one shared
 :class:`~repro.trace.recorder.TraceRecorder`, and link accounts plus
-utilization counter tracks from the shared ledgers — which, because the
+utilization counter tracks from the shared ledgers
+(:func:`~repro.trace.recorder.recorded_trace`) — which, because the
 ledgers are shared, show *cross-job* contention directly.
 """
 
@@ -15,8 +16,12 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..hardware.cluster import Cluster
-from ..trace.model import CounterTrack, LinkAccount, Trace
-from ..trace.recorder import DEFAULT_COUNTER_SAMPLES, TraceRecorder
+from ..trace.model import CounterTrack, Trace
+from ..trace.recorder import (
+    DEFAULT_COUNTER_SAMPLES,
+    TraceRecorder,
+    recorded_trace,
+)
 from .jobs import JobStore
 
 
@@ -26,39 +31,11 @@ def build_cluster_trace(cluster: Cluster, store: JobStore,
                         counter_samples: int = DEFAULT_COUNTER_SAMPLES
                         ) -> Trace:
     """Assemble the shared-machine :class:`Trace` for a cluster run."""
-    trace = Trace(meta=dict(meta or {}))
-    trace.meta.setdefault("total_time", total_time)
+    trace = recorded_trace(cluster, recorder, total_time, meta=meta,
+                           counter_samples=counter_samples)
     trace.meta.setdefault("jobs", len(store.records))
-
     for record in store.records:  # submission order: deterministic
         trace.spans.extend(record.spans)
-
-    recorder.drain_open_flows(total_time)
-    trace.flows = list(recorder.flows)
-    trace.collectives = list(recorder.collectives)
-
-    for link in cluster.topology.links:
-        ledger = link.ledger
-        if len(ledger) == 0:
-            continue
-        trace.links.append(LinkAccount(
-            name=link.name,
-            link_class=str(link.link_class),
-            total_bytes=ledger.total_bytes,
-            record_count=len(ledger),
-            degraded=tuple(ledger.degraded_intervals()),
-        ))
-        if total_time > 0 and counter_samples > 0:
-            trace.counters.append(CounterTrack(
-                name=f"link:{link.name}",
-                unit="bytes/s",
-                start=0.0,
-                period=total_time / counter_samples,
-                values=tuple(
-                    ledger.sample(0.0, total_time, counter_samples)
-                ),
-            ))
-
     for rank in range(cluster.num_gpus):
         trace.counters.append(CounterTrack(
             name=f"rank{rank}:device_mem",

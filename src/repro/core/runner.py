@@ -35,13 +35,14 @@ from ..sim.fastpath import (
     is_steady,
     validate_fidelity,
 )
-from ..sim.leaksan import LeakReport, LeakSanitizer
+from ..sim.instruments import Instruments
+from ..sim.leaksan import LeakReport
 from ..sim.sanitizer import SanitizerReport
 from ..telemetry.bandwidth import BandwidthMonitor, BandwidthStats
 from ..telemetry.flops_profiler import FlopsProfiler, ThroughputReport
 from ..telemetry.memory import MemoryReport, snapshot
 from ..trace.model import Trace
-from ..trace.recorder import TraceRecorder, build_trace
+from ..trace.recorder import build_trace
 from ..units import GB
 
 if TYPE_CHECKING:  # import cycle: repro.api.build materializes via us
@@ -271,14 +272,15 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
     if needs_nvme and swap_volumes is None:
         chosen = placement if placement is not None else DEFAULT_PLACEMENT
         swap_volumes = chosen.build_volumes(cluster)
-    # The sanitizer must observe the pools before the plan charges them.
-    leaksan = LeakSanitizer() if leak_check else None
-    if leaksan is not None:
-        leaksan.attach(cluster)
+    # Built before the plan charges the pools, so a leak sanitizer
+    # observes every allocation.
+    instruments = Instruments(tie_order=tie_order, sanitize=sanitize,
+                              trace=trace, leak_check=leak_check)
+    engine, network = instruments.build(cluster)
     apply_memory_plan(cluster, plan, swap_volumes)
 
     schedule = strategy.build_schedule(ctx)
-    recorder = TraceRecorder() if trace else None
+    recorder = instruments.recorder
     executor = Executor(
         cluster, schedule,
         traffic_profile=strategy.traffic_profile,
@@ -286,10 +288,9 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
         internode_rate_efficiency=strategy.calibration.internode_efficiency,
         fault_plan=fault_plan,
         retry_policy=retry_policy,
-        tie_order=tie_order,
-        sanitize=sanitize,
-        trace_recorder=recorder,
-        leak_sanitizer=leaksan,
+        engine=engine,
+        network=network,
+        collective_sink=recorder,
     )
     result = executor.run(sim_iterations)
 
@@ -336,16 +337,15 @@ def run_training(cluster: Cluster, strategy: TrainingStrategy,
             "num_gpus": cluster.num_gpus,
             "model_parameters": total_parameters(model),
         })
-        if trace else None
+        if recorder is not None else None
     )
 
     # Snapshot memory while the plan's labels are still charged; the
     # leak-check teardown below returns them to the pools.
     memory_report = snapshot(cluster)
-    if leaksan is not None:
+    if leak_check:
         release_memory_plan(cluster, plan, swap_volumes)
-        result.leaks = leaksan.finalize(
-            cluster, network=executor.network, recorder=recorder)
+    result.sanitizer, result.leaks = instruments.finalize()
 
     return RunMetrics(
         strategy_name=strategy.name,

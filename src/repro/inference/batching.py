@@ -40,6 +40,7 @@ from ..collectives.primitives import CollectiveKind, CollectiveOp
 from ..errors import SimulationError
 from ..sim.engine import Engine
 from ..trace.model import KernelKind, Lane, Span
+from ..trace.recorder import CollectiveSink
 from .costmodel import PhaseCostModel
 from .kvcache import KvCache
 from .requests import Request
@@ -117,7 +118,7 @@ class ServingScheduler:
                  max_batch_tokens: int,
                  max_batch_requests: int,
                  span_ranks: Sequence[int] = (),
-                 collective_sink=None,
+                 collective_sink: Optional[CollectiveSink] = None,
                  tag: str = "") -> None:
         self.engine = engine
         self.cost = cost
@@ -128,7 +129,7 @@ class ServingScheduler:
         self.max_batch_requests = max_batch_requests
         #: global ranks compute spans are attributed to (trace only)
         self.span_ranks = tuple(span_ranks)
-        #: recorder-compatible ``collective_phase`` sink (trace only)
+        #: receives every TP all-reduce phase (trace only)
         self.collective_sink = collective_sink
         self.tag = tag
         self.stats = ServingStats()

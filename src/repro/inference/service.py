@@ -13,11 +13,12 @@ view, so serving traffic pays NVLink/NIC costs with the same fidelity
 as training collectives — over two nodes, prefill all-reduces cross
 the switch exactly like a Megatron forward's.
 
-Ledger ownership mirrors the cluster service: this function owns the
-network's recorder/leak-sanitizer hooks and the pools' observers;
-weights, the KV budget's slack, and every per-request KV reservation
-are named pool labels, so ``leak_check=True`` audits the whole serving
-run for byte conservation (zero leaked KV bytes on a clean exit).
+Ledger ownership mirrors the cluster service: this function's
+:class:`~repro.sim.instruments.Instruments` own the network's flow
+observers and the pools' leak observer; weights, the KV budget's slack,
+and every per-request KV reservation are named pool labels, so
+``leak_check=True`` audits the whole serving run for byte conservation
+(zero leaked KV bytes on a clean exit).
 """
 
 from __future__ import annotations
@@ -31,13 +32,12 @@ from ..core.search import model_for_billions
 from ..errors import ConfigurationError
 from ..hardware.cluster import Cluster, ClusterSpec
 from ..model.config import ModelConfig, paper_model
-from ..sim.engine import Engine, ReversedTies, SeededTies, TieOrder
-from ..sim.flows import FlowNetwork
-from ..sim.leaksan import LeakReport, LeakSanitizer
-from ..trace.model import CounterTrack, LinkAccount, Trace
-from ..trace.recorder import DEFAULT_COUNTER_SAMPLES, TraceRecorder
+from ..sim.instruments import Instruments
+from ..sim.leaksan import LeakReport
+from ..trace.model import Trace
+from ..trace.recorder import recorded_trace
 from ..cluster.views import probe_view
-from .batching import RequestRecord, ServingScheduler, ServingStats
+from .batching import RequestRecord, ServingScheduler
 from .costmodel import PhaseCostModel
 from .kvcache import KvCache
 from .report import InferenceReport, build_report
@@ -58,55 +58,11 @@ class InferenceRun:
         return self.report.leaks
 
 
-def _build_tie_order(spec: InferenceSpec) -> Optional[TieOrder]:
-    if spec.tie_order == "reversed":
-        return ReversedTies()
-    if spec.tie_order == "seeded":
-        return SeededTies(spec.tie_seed)
-    return None  # fifo: the engine default
-
-
 def _model_for(spec: InferenceSpec) -> ModelConfig:
     if spec.num_layers is not None:
         return paper_model(spec.num_layers)
     assert spec.size_billions is not None
     return model_for_billions(spec.size_billions)
-
-
-def build_serving_trace(cluster: Cluster, stats: ServingStats,
-                        recorder: TraceRecorder, total_time: float, *,
-                        meta: Optional[dict] = None,
-                        counter_samples: int = DEFAULT_COUNTER_SAMPLES
-                        ) -> Trace:
-    """Assemble the serving :class:`Trace` (cluster-trace shape)."""
-    trace = Trace(meta=dict(meta or {}))
-    trace.meta.setdefault("total_time", total_time)
-    trace.spans.extend(stats.spans)
-    recorder.drain_open_flows(total_time)
-    trace.flows = list(recorder.flows)
-    trace.collectives = list(recorder.collectives)
-    for link in cluster.topology.links:
-        ledger = link.ledger
-        if len(ledger) == 0:
-            continue
-        trace.links.append(LinkAccount(
-            name=link.name,
-            link_class=str(link.link_class),
-            total_bytes=ledger.total_bytes,
-            record_count=len(ledger),
-            degraded=tuple(ledger.degraded_intervals()),
-        ))
-        if total_time > 0 and counter_samples > 0:
-            trace.counters.append(CounterTrack(
-                name=f"link:{link.name}",
-                unit="bytes/s",
-                start=0.0,
-                period=total_time / counter_samples,
-                values=tuple(
-                    ledger.sample(0.0, total_time, counter_samples)
-                ),
-            ))
-    return trace
 
 
 def run_inference(spec: InferenceSpec) -> InferenceRun:
@@ -128,15 +84,9 @@ def run_inference(spec: InferenceSpec) -> InferenceRun:
 
     cluster = Cluster(ClusterSpec(num_nodes=spec.nodes))
     view = probe_view(cluster, spec.gpus)
-    engine = Engine(tie_order=_build_tie_order(spec))
-    network = FlowNetwork(engine)
-    recorder = TraceRecorder() if spec.trace else None
-    network.recorder = recorder
-    leaksan: Optional[LeakSanitizer] = None
-    if spec.leak_check:
-        leaksan = LeakSanitizer()
-        leaksan.attach(cluster)
-        network.leaksan = leaksan
+    instruments = Instruments.for_spec(spec)
+    engine, network = instruments.build(cluster)
+    recorder = instruments.recorder
 
     cost = PhaseCostModel(
         config, cluster.nodes[0].spec.gpu,
@@ -195,10 +145,16 @@ def run_inference(spec: InferenceSpec) -> InferenceRun:
     kvcache.close()
     for pool in pools:
         pool.free(WEIGHTS)
-    leaks: Optional[LeakReport] = None
-    if leaksan is not None:
-        leaks = leaksan.finalize(cluster, network=network,
-                                 recorder=recorder)
+    trace: Optional[Trace] = None
+    if recorder is not None:
+        trace = recorded_trace(cluster, recorder, total_time, meta={
+            "spec": spec.label,
+            "batching": spec.batching,
+            "num_nodes": spec.nodes,
+            "num_gpus": view.num_gpus,
+        })
+        trace.spans.extend(scheduler.stats.spans)
+    _, leaks = instruments.finalize()
     report = build_report(
         spec.label, spec.batching,
         nodes=spec.nodes, num_gpus=view.num_gpus,
@@ -209,15 +165,5 @@ def run_inference(spec: InferenceSpec) -> InferenceRun:
         events_processed=engine.events_processed,
         events_folded=engine.events_folded,
         leaks=leaks,
-    )
-    trace = (
-        build_serving_trace(cluster, scheduler.stats, recorder, total_time,
-                            meta={
-                                "spec": spec.label,
-                                "batching": spec.batching,
-                                "num_nodes": spec.nodes,
-                                "num_gpus": view.num_gpus,
-                            })
-        if recorder is not None else None
     )
     return InferenceRun(report=report, trace=trace)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..api.spec import TIE_ORDERS, stable_key
+from ..api.spec import TIE_ORDERS, check_choice, check_number, stable_key
 from ..errors import ConfigurationError
 from .requests import REQUEST_MIXES, Request, poisson_requests, trace_requests
 
@@ -71,8 +71,8 @@ class InferenceSpec:
             raise ConfigurationError(
                 "InferenceSpec needs exactly one of size_billions / num_layers"
             )
-        if self.size_billions is not None and self.size_billions <= 0:
-            raise ConfigurationError("size_billions must be positive")
+        if self.size_billions is not None:
+            check_number("size_billions", self.size_billions, above=0)
         if self.num_layers is not None and self.num_layers < 1:
             raise ConfigurationError("num_layers must be >= 1")
         if self.gpus < 1:
@@ -85,8 +85,7 @@ class InferenceSpec:
                 f"(expected 'poisson' or 'trace')"
             )
         if self.arrivals == "poisson":
-            if self.rate_per_second <= 0:
-                raise ConfigurationError("rate_per_second must be positive")
+            check_number("rate_per_second", self.rate_per_second, above=0)
             if self.num_requests < 1:
                 raise ConfigurationError("num_requests must be >= 1")
             if self.request_mix not in REQUEST_MIXES:
@@ -98,26 +97,17 @@ class InferenceSpec:
             raise ConfigurationError(
                 "trace arrivals need at least one trace_requests entry"
             )
-        if self.batching not in BATCHING_POLICIES:
-            raise ConfigurationError(
-                f"unknown batching policy {self.batching!r} "
-                f"(expected one of {BATCHING_POLICIES})"
-            )
+        check_choice("batching policy", self.batching, BATCHING_POLICIES)
         if self.max_batch_tokens < 1:
             raise ConfigurationError("max_batch_tokens must be >= 1")
         if self.max_batch_requests < 1:
             raise ConfigurationError("max_batch_requests must be >= 1")
-        if not 0 < self.kv_fraction <= 1:
-            raise ConfigurationError("kv_fraction must be in (0, 1]")
-        if self.slo_ttft_s <= 0 or self.slo_tpot_s <= 0:
-            raise ConfigurationError("SLO targets must be positive")
+        check_number("kv_fraction", self.kv_fraction, above=0, at_most=1)
+        check_number("SLO target slo_ttft_s", self.slo_ttft_s, above=0)
+        check_number("SLO target slo_tpot_s", self.slo_tpot_s, above=0)
         if self.precision_bytes not in (2, 4):
             raise ConfigurationError("precision must be fp16 (2) or fp32 (4)")
-        if self.tie_order not in TIE_ORDERS:
-            raise ConfigurationError(
-                f"unknown tie order {self.tie_order!r} "
-                f"(expected one of {TIE_ORDERS})"
-            )
+        check_choice("tie order", self.tie_order, TIE_ORDERS)
         if not isinstance(self.trace_requests, tuple):
             object.__setattr__(self, "trace_requests", tuple(
                 dict(entry) for entry in self.trace_requests

@@ -21,7 +21,7 @@ Table IV statistics and Figs. 9/10/12 time-series come from.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 from ..errors import SimulationError
 from ..units import Bytes, BytesPerSecond
@@ -110,10 +110,19 @@ class Flow:
         )
 
 
+class FlowObserver(Protocol):
+    """What :class:`FlowNetwork` tells its observers about flows."""
+
+    def flow_started(self, flow: Flow) -> None: ...
+
+    def flow_finished(self, flow: Flow, now: float) -> None: ...
+
+
 class FlowNetwork:
     """Shares link capacity among active flows and completes them in order."""
 
-    def __init__(self, engine: Engine) -> None:
+    def __init__(self, engine: Engine, *,
+                 observers: Tuple[FlowObserver, ...] = ()) -> None:
         self.engine = engine
         self._active: Set[Flow] = set()
         #: ``_active`` sorted by id; None after an add until re-sorted
@@ -122,16 +131,13 @@ class FlowNetwork:
         self._last_update = engine.now
         self.completed_flows = 0
         self.total_bytes_moved = 0.0
-        #: optional :class:`repro.trace.TraceRecorder`.  Its hooks only
-        #: append to Python lists — they never schedule events or touch
-        #: engine state — so an attached recorder cannot perturb the
-        #: simulated schedule.
-        self.recorder = None
-        #: optional :class:`repro.sim.leaksan.LeakSanitizer`.  Same
-        #: invariant as the recorder: its hooks shadow flow lifecycles
-        #: with ledger reservations (pure bookkeeping — never admission
-        #: control) and cannot perturb the simulated schedule.
-        self.leaksan = None
+        #: flow observers (the trace recorder, the leak sanitizer), told
+        #: of every flow start and finish in order.  Their hooks only
+        #: append to Python containers and never schedule events or
+        #: touch engine state, so an attached observer cannot perturb
+        #: the simulated schedule; with none attached no per-flow call
+        #: is made.
+        self.observers = observers
         #: Batchable activation: a collective launching N flows at one
         #: instant folds into a single settle + N adds + one reallocate,
         #: replacing N full water-filling rounds (see
@@ -205,10 +211,8 @@ class FlowNetwork:
     # -- internals -----------------------------------------------------------------
     def _activate_one(self, flow: Flow) -> None:
         flow.started_at = self.engine.now
-        if self.recorder is not None:
-            self.recorder.flow_started(flow)
-        if self.leaksan is not None:
-            self.leaksan.flow_opened(flow)
+        for observer in self.observers:
+            observer.flow_started(flow)
         self.engine.note_touch("flows:allocator")
         self._settle()
         self._active.add(flow)
@@ -230,10 +234,8 @@ class FlowNetwork:
         self._settle()
         for (flow,) in batch:
             flow.started_at = self.engine.now
-            if self.recorder is not None:
-                self.recorder.flow_started(flow)
-            if self.leaksan is not None:
-                self.leaksan.flow_opened(flow)
+            for observer in self.observers:
+                observer.flow_started(flow)
             self._active.add(flow)
         self._ordered = None
         self._reallocate()
@@ -273,10 +275,8 @@ class FlowNetwork:
         for flow in finished:
             self._active.discard(flow)
             self.completed_flows += 1
-            if self.recorder is not None:
-                self.recorder.flow_finished(flow, self.engine.now)
-            if self.leaksan is not None:
-                self.leaksan.flow_closed(flow, self.engine.now)
+            for observer in self.observers:
+                observer.flow_finished(flow, self.engine.now)
             assert flow.completion is not None
             flow.completion.succeed(None)
         if not self._active:

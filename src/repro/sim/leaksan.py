@@ -161,13 +161,20 @@ class LeakSanitizer:
         self._flow_labels: Dict[int, str] = {}
 
     # -- wiring --------------------------------------------------------------
-    def attach(self, cluster: Any, network: Any = None) -> None:
-        """Observe every memory pool of ``cluster`` and, when a
-        :class:`~repro.sim.flows.FlowNetwork` is given, its flows."""
+    def attach(self, cluster: Any) -> None:
+        """Observe every memory pool of ``cluster``.
+
+        Flows are observed by passing the sanitizer among a
+        :class:`~repro.sim.flows.FlowNetwork`'s ``observers``.
+        """
         for pool in self._pools(cluster):
             pool.observer = self
-        if network is not None:
-            network.leaksan = self
+
+    @classmethod
+    def detach(cls, cluster: Any) -> None:
+        """Stop every memory pool of ``cluster`` reporting to a sanitizer."""
+        for pool in cls._pools(cluster):
+            pool.observer = None
 
     @staticmethod
     def _pools(cluster: Any) -> List[Any]:
@@ -193,8 +200,8 @@ class LeakSanitizer:
                    f"never allocated)",
         ))
 
-    # -- flow hooks (called by FlowNetwork) ----------------------------------
-    def flow_opened(self, flow: Any) -> None:
+    # -- flow observer hooks (called by FlowNetwork) -------------------------
+    def flow_started(self, flow: Any) -> None:
         """Shadow an activating flow with one reservation per link."""
         owner = f"flow:{flow.id}" + (f":{flow.label}" if flow.label
                                      else "")
@@ -208,7 +215,7 @@ class LeakSanitizer:
         self._flow_labels[flow.id] = owner
         self.report.flows_tracked += 1
 
-    def flow_closed(self, flow: Any, now: float) -> None:
+    def flow_finished(self, flow: Any, now: float) -> None:
         """Settle the flow's reservations; an unknown flow is RES008."""
         held = self._open_flows.pop(flow.id, None)
         self._flow_labels.pop(flow.id, None)

@@ -4,13 +4,14 @@
 It is deliberately inert: every hook appends to a Python list and never
 touches the engine (no events, no timeouts, no ``note_touch``), so an
 attached recorder cannot perturb the schedule — the tracing-invariance
-test pins this with the perturbation differ.  When no recorder is
-attached the hook sites are a single ``is None`` check, which is the
-zero-cost-when-disabled guarantee.
+test pins this with the perturbation differ.  An untraced run has no
+recorder among the flow network's observers and no collective sink, so
+no hook is called at all — the zero-cost-when-disabled guarantee.
 
 Everything else a trace holds is *derived after the run ends* by
-:func:`build_trace`: rank-lane spans come from the executor's timeline,
-fault windows from the injector's materialized plan, link accounts and
+:func:`build_trace` (the serving and cluster builders share its
+:func:`recorded_trace` core): rank-lane spans come from the executor's
+timeline, fault windows from the injector's materialized plan, link accounts and
 counter tracks from the bandwidth ledgers (sampled on a
 :data:`DEFAULT_COUNTER_SAMPLES`-bin grid), and per-rank memory from the
 pools.  Post-run derivation keeps the recording surface minimal and
@@ -19,7 +20,7 @@ guarantees the accounts reconcile with the ledgers by construction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
 
 from .model import (
     CollectiveSpan,
@@ -27,7 +28,6 @@ from .model import (
     FaultSpan,
     FlowSpan,
     LinkAccount,
-    Span,
     Trace,
 )
 
@@ -40,12 +40,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_COUNTER_SAMPLES = 200
 
 
+class CollectiveSink(Protocol):
+    """Receives collective phases: a recorder, or a facade over one."""
+
+    def collective_phase(self, comm: str, group_index: int, kind: str,
+                         payload_bytes: float, launch_count: int,
+                         ranks: Tuple[int, ...], start: float,
+                         end: float) -> None: ...
+
+
 class TraceRecorder:
     """Collects flow and collective phases as they happen.
 
-    Attach one to :class:`~repro.runtime.executor.Executor` via its
-    ``trace_recorder`` argument; it threads the recorder into the flow
-    network.  All methods are append-only.
+    :class:`~repro.sim.instruments.Instruments` makes one for traced
+    runs and attaches it as a flow observer of the network and as the
+    collective sink of the executor or serving scheduler.  All methods
+    are append-only.
     """
 
     def __init__(self) -> None:
@@ -57,9 +67,9 @@ class TraceRecorder:
     def flow_started(self, flow: "Flow") -> None:
         self._open_flows[flow.id] = flow
 
-    def flow_finished(self, flow: "Flow", end: float) -> None:
+    def flow_finished(self, flow: "Flow", now: float) -> None:
         self._open_flows.pop(flow.id, None)
-        self.flows.append(self._span_of(flow, end, completed=True))
+        self.flows.append(self._span_of(flow, now, completed=True))
 
     # -- executor hook ---------------------------------------------------------
     def collective_phase(self, comm: str, group_index: int, kind: str,
@@ -114,38 +124,24 @@ class TraceRecorder:
         )
 
 
-def build_trace(cluster: "Cluster", result: "ExecutionResult",
-                recorder: Optional[TraceRecorder] = None, *,
-                meta: Optional[Dict[str, object]] = None,
-                counter_samples: int = DEFAULT_COUNTER_SAMPLES) -> Trace:
-    """Assemble the full :class:`Trace` for one finished run.
+def recorded_trace(cluster: "Cluster", recorder: Optional[TraceRecorder],
+                   total_time: float, *,
+                   meta: Optional[Dict[str, object]] = None,
+                   counter_samples: int = DEFAULT_COUNTER_SAMPLES) -> Trace:
+    """The part of a :class:`Trace` every kind of run shares.
 
-    Call this *after* all ledger charges are in (in particular after
-    :func:`repro.core.runner._record_host_background`), so the link
-    accounts equal the final ledger state exactly.
+    ``meta`` plus ``total_time``, the recorder's flow and collective
+    spans (flows still streaming are drained at ``total_time``), and an
+    account and a bytes/s counter track for every link that carried
+    traffic.  The training, serving and cluster builders add their own
+    spans and memory tracks.
     """
     trace = Trace(meta=dict(meta or {}))
-    trace.meta.setdefault("total_time", result.total_time)
-    trace.meta.setdefault("iterations", len(result.iteration_times))
-
-    trace.spans = list(result.timeline.spans)
+    trace.meta.setdefault("total_time", total_time)
     if recorder is not None:
-        recorder.drain_open_flows(result.total_time)
+        recorder.drain_open_flows(total_time)
         trace.flows = list(recorder.flows)
         trace.collectives = list(recorder.collectives)
-
-    trace.faults = [
-        FaultSpan(
-            kind=str(event.kind),
-            target=event.target,
-            magnitude=event.magnitude,
-            start=event.start,
-            end=event.end,
-        )
-        for event in result.fault_events
-    ]
-
-    duration = result.total_time
     for link in cluster.topology.links:
         ledger = link.ledger
         if len(ledger) == 0:
@@ -157,15 +153,43 @@ def build_trace(cluster: "Cluster", result: "ExecutionResult",
             record_count=len(ledger),
             degraded=tuple(ledger.degraded_intervals()),
         ))
-        if duration > 0 and counter_samples > 0:
+        if total_time > 0 and counter_samples > 0:
             trace.counters.append(CounterTrack(
                 name=f"link:{link.name}",
                 unit="bytes/s",
                 start=0.0,
-                period=duration / counter_samples,
-                values=tuple(ledger.sample(0.0, duration, counter_samples)),
+                period=total_time / counter_samples,
+                values=tuple(ledger.sample(0.0, total_time,
+                                           counter_samples)),
             ))
+    return trace
 
+
+def build_trace(cluster: "Cluster", result: "ExecutionResult",
+                recorder: Optional[TraceRecorder] = None, *,
+                meta: Optional[Dict[str, object]] = None,
+                counter_samples: int = DEFAULT_COUNTER_SAMPLES) -> Trace:
+    """Assemble the full :class:`Trace` for one finished run.
+
+    Call this *after* all ledger charges are in (in particular after
+    :func:`repro.core.runner._record_host_background`), so the link
+    accounts equal the final ledger state exactly.
+    """
+    duration = result.total_time
+    trace = recorded_trace(cluster, recorder, duration, meta=meta,
+                           counter_samples=counter_samples)
+    trace.meta.setdefault("iterations", len(result.iteration_times))
+    trace.spans = list(result.timeline.spans)
+    trace.faults = [
+        FaultSpan(
+            kind=str(event.kind),
+            target=event.target,
+            magnitude=event.magnitude,
+            start=event.start,
+            end=event.end,
+        )
+        for event in result.fault_events
+    ]
     for rank in range(cluster.num_gpus):
         gpu = cluster.gpu(rank)
         dram = cluster.dram_for_rank(rank)

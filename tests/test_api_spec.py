@@ -47,6 +47,73 @@ class TestRunSpecValidation:
         assert spec.label == "zero2-1.4b-n1-B"
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _inference(**changes):
+    from repro.inference import InferenceSpec
+
+    return InferenceSpec(**{"size_billions": 0.7, **changes})
+
+
+def _scenario(**changes):
+    from repro.cluster import ClusterScenario
+
+    return ClusterScenario(**changes)
+
+
+def _job(**changes):
+    from repro.cluster.jobs import JobSpec
+
+    return JobSpec(**{"name": "j", "tenant": "t", "strategy": "ddp",
+                      "size_billions": 0.7, "gpus": 1, **changes})
+
+
+SPEC_BUILDERS = {
+    "run": lambda **changes: RunSpec("ddp", **{"size_billions": 1.4,
+                                               **changes}),
+    "inference": _inference,
+    "scenario": _scenario,
+    "job": _job,
+    "serving_job": lambda **changes: _job(workload="inference", **changes),
+}
+
+
+class TestNonFiniteSpecInputs:
+    """NaN passes every plain ``<=``/``<`` bound, so each numeric spec
+    field goes through the shared finite-and-range check."""
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("run", "size_billions", "1.4"),
+        ("run", "tie_order", "random"),
+        ("inference", "size_billions", NAN),
+        ("inference", "size_billions", INF),
+        ("inference", "rate_per_second", NAN),
+        ("inference", "rate_per_second", INF),
+        ("inference", "slo_ttft_s", NAN),
+        ("inference", "slo_tpot_s", NAN),
+        ("inference", "kv_fraction", NAN),
+        ("inference", "tie_order", "random"),
+        ("scenario", "rate_per_hour", NAN),
+        ("scenario", "rate_per_hour", INF),
+        ("scenario", "aging_rate", NAN),
+        ("scenario", "aging_rate", INF),
+        ("scenario", "tie_order", "random"),
+        ("job", "size_billions", NAN),
+        ("serving_job", "request_rate_per_s", NAN),
+    ])
+    def test_bad_value_raises_configuration_error(self, kind, field, value):
+        with pytest.raises(ConfigurationError, match=field.replace(
+                "tie_order", "tie order")):
+            SPEC_BUILDERS[kind](**{field: value})
+
+    def test_error_names_the_field_and_the_value(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"rate_per_hour must be a finite number "
+                                 r"> 0, got nan"):
+            _scenario(rate_per_hour=NAN)
+
+
 class TestRoundTrip:
     def test_to_dict_from_dict_identity(self):
         spec = RunSpec(strategy="zero3", size_billions=6.0, nodes=2,

@@ -151,7 +151,7 @@ class TestLeakSanitizerUnit:
             id = 99
 
         san = LeakSanitizer()
-        san.flow_closed(FakeFlow(), 1.0)
+        san.flow_finished(FakeFlow(), 1.0)
         assert [r.code for r in san.report.records] == ["RES008"]
         assert san.report.records[0].protocol == "flow-epoch"
 

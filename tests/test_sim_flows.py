@@ -184,7 +184,7 @@ class TestNumericalRobustness:
 
 
 class FlowCatcher:
-    """Minimal trace recorder that keeps every flow the network starts."""
+    """Minimal flow observer that keeps every flow the network starts."""
 
     def __init__(self):
         self.flows = []
@@ -194,6 +194,53 @@ class FlowCatcher:
 
     def flow_finished(self, flow, now):
         pass
+
+
+class TestFlowObservers:
+    """``FlowNetwork.observers``: every observer sees every flow start
+    and finish, in the order the network made them."""
+
+    def test_two_observers_see_every_start_and_finish_in_order(
+            self, cluster):
+        calls = []
+
+        class Log:
+            def __init__(self, name):
+                self.name = name
+
+            def flow_started(self, flow):
+                calls.append((self.name, "start", flow.id, flow.started_at))
+
+            def flow_finished(self, flow, now):
+                calls.append((self.name, "finish", flow.id, now))
+
+        engine = Engine()
+        network = FlowNetwork(engine, observers=(Log("a"), Log("b")))
+        route = cluster.topology.route("node0/gpu0", "node0/gpu1")
+        for _ in range(3):  # one instant: a batched activation
+            network.transfer(route, 1e9)
+        network.transfer(route, 0)  # zero bytes: no flow, no calls
+        engine.schedule_at(0.005, network.transfer, route, 2e9)
+        engine.run()
+
+        first = [call[1:] for call in calls[0::2]]
+        assert [call[0] for call in calls] == ["a", "b"] * len(first)
+        assert [call[1:] for call in calls[1::2]] == first
+        starts = [flow_id for kind, flow_id, _ in first if kind == "start"]
+        finishes = [flow_id for kind, flow_id, _ in first
+                    if kind == "finish"]
+        assert len(starts) == network.completed_flows == 4
+        assert sorted(finishes) == sorted(starts)
+        position = {(kind, flow_id): index
+                    for index, (kind, flow_id, _) in enumerate(first)}
+        for flow_id in starts:
+            assert position["start", flow_id] < position["finish", flow_id]
+        stamps = [stamp for _, _, stamp in first]
+        assert stamps == sorted(stamps)
+        assert first[-1][2] == engine.now
+
+    def test_no_observers_by_default(self):
+        assert FlowNetwork(Engine()).observers == ()
 
 
 def link_named(cluster, name):
@@ -210,9 +257,8 @@ class TestCapacityEpoch:
 
     def live_flow(self, cluster):
         engine = Engine()
-        network = FlowNetwork(engine)
         catcher = FlowCatcher()
-        network.recorder = catcher
+        network = FlowNetwork(engine, observers=(catcher,))
         route = cluster.topology.route(*self.ROUTE)
         network.transfer(route, 1e12)  # far longer than the test window
         engine.run(until=1e-3)
